@@ -185,6 +185,7 @@ func BenchmarkDependenceAnalysisLarge(b *testing.B) {
 // generated large program.
 func BenchmarkApplyPipelineLarge(b *testing.B) {
 	pipeline := []string{"CTP", "CFO", "DCE", "FUS", "PAR"}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := proggen.Generate(2, proggen.Config{MaxStmts: 120})
 		for _, name := range pipeline {
@@ -564,6 +565,7 @@ func BenchmarkCompiledFixpoint(b *testing.B) {
 		{"compiled", compiled},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			b.ReportMetric(float64(template.Len()), "stmts")
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

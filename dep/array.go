@@ -26,10 +26,11 @@ type access struct {
 // are discovered when the symmetric ordered pair is processed, so only '='
 // and leading-'<' vectors are emitted here.
 //
-// A non-nil filter restricts the pass to the named arrays (the incremental
-// updater's dirty-name set); nil analyzes every array.
-func (g *Graph) arrayDeps(lt *loopTable, filter map[string]bool) {
-	byName, names := g.collectArrayGroups(filter)
+// A non-nil edited set restricts the pass to the access pairs with at least
+// one endpoint in it (the incremental updater's edited statements); nil
+// tests every pair.
+func (g *Graph) arrayDeps(lt *loopTable, edited map[*ir.Stmt]bool) {
+	byName, names := g.collectArrayGroups(edited)
 	if g.workers > 1 && len(names) > 1 {
 		// Fan the per-array pair tests out over the pool: one array's tests
 		// never look at another array's accesses, so sharding the name list
@@ -43,7 +44,7 @@ func (g *Graph) arrayDeps(lt *loopTable, filter map[string]bool) {
 			var buf []Dependence
 			emit := func(d Dependence) { buf = append(buf, d) }
 			for i := sh; i < len(names); i += shards {
-				g.pairTests(byName[names[i]], lt, emit)
+				g.pairTests(byName[names[i]], lt, edited, emit)
 			}
 			return buf
 		})
@@ -57,14 +58,15 @@ func (g *Graph) arrayDeps(lt *loopTable, filter map[string]bool) {
 	// Deterministic order: the dependence list's order feeds candidate
 	// enumeration and therefore the cost experiments.
 	for _, name := range names {
-		g.pairTests(byName[name], lt, g.add)
+		g.pairTests(byName[name], lt, edited, g.add)
 	}
 }
 
 // collectArrayGroups gathers every array access, records the array-name
-// census (g.arrays), and returns the filtered per-array access groups
-// with a deterministic name order.
-func (g *Graph) collectArrayGroups(filter map[string]bool) (map[string][]access, []string) {
+// census (g.arrays), and returns the per-array access groups with a
+// deterministic name order. A non-nil edited set keeps only the arrays
+// some edited statement accesses.
+func (g *Graph) collectArrayGroups(edited map[*ir.Stmt]bool) (map[string][]access, []string) {
 	accesses := collectAccesses(g.Prog)
 	byName := make(map[string][]access)
 	var names []string
@@ -72,25 +74,45 @@ func (g *Graph) collectArrayGroups(filter map[string]bool) (map[string][]access,
 		g.arrays = make(map[string]bool)
 	}
 	for _, ac := range accesses {
-		// Record every array name — filtered ones included — so lookup
+		// Record every array name — skipped ones included — so lookup
 		// counters can classify edges kept from before this update.
 		g.arrays[ac.op.Name] = true
-		if filter != nil && !filter[ac.op.Name] {
-			continue
-		}
 		if _, seen := byName[ac.op.Name]; !seen {
 			names = append(names, ac.op.Name)
 		}
 		byName[ac.op.Name] = append(byName[ac.op.Name], ac)
 	}
-	return byName, names
+	if edited == nil {
+		return byName, names
+	}
+	kept := names[:0]
+	for _, name := range names {
+		for _, ac := range byName[name] {
+			if edited[ac.stmt] {
+				kept = append(kept, name)
+				break
+			}
+		}
+	}
+	return byName, kept
 }
 
 // pairTests runs the subscript tests over every ordered pair of one
-// array's accesses, emitting the resulting dependences.
-func (g *Graph) pairTests(group []access, lt *loopTable, emit func(Dependence)) {
-	for _, src := range group {
-		for _, dst := range group {
+// array's accesses, emitting the resulting dependences. A non-nil edited
+// set skips the pairs with neither statement in it.
+func (g *Graph) pairTests(group []access, lt *loopTable, edited map[*ir.Stmt]bool, emit func(Dependence)) {
+	var mark []bool
+	if edited != nil {
+		mark = make([]bool, len(group))
+		for i, ac := range group {
+			mark[i] = edited[ac.stmt]
+		}
+	}
+	for i, src := range group {
+		for j, dst := range group {
+			if mark != nil && !mark[i] && !mark[j] {
+				continue
+			}
 			kind, ok := pairKind(src, dst)
 			if !ok {
 				continue

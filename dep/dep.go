@@ -581,6 +581,22 @@ func (g *Graph) Query(kind Kind, src, dst *ir.Stmt, pattern Vector) []Dependence
 	return out
 }
 
+// Count returns len(Query(kind, src, dst, pattern)) without materializing
+// the matches: it walks the same candidate bucket with the same lookup
+// accounting, so Stats moves by exactly what the Query would have added.
+// The engine's enumeration-order heuristic only needs the size.
+func (g *Graph) Count(kind Kind, src, dst *ir.Stmt, pattern Vector) int {
+	n := 0
+	for _, i := range g.candidates(kind, src, dst) {
+		d := &g.Deps[i]
+		g.countLookup(d)
+		if g.matches(d, kind, src, dst, pattern) {
+			n++
+		}
+	}
+	return n
+}
+
 // Exists reports whether any dependence matches the query. Unlike Query it
 // allocates nothing and stops at the first match.
 func (g *Graph) Exists(kind Kind, src, dst *ir.Stmt, pattern Vector) bool {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/frontend"
+	"repro/internal/proggen"
+	"repro/ir"
 )
 
 // statsProgram mixes scalar flow, an array-carried dependence inside a loop,
@@ -63,6 +65,52 @@ func TestStatsLookupClassification(t *testing.T) {
 	g.Exists(Flow, nil, nil, nil)
 	if got := g.Stats(); got == before {
 		t.Errorf("Exists examined no edges: %+v", got)
+	}
+}
+
+// TestCountMatchesQuery: Count is len(Query) for the exact, src-only,
+// dst-only and wildcard forms, with and without a direction pattern, and it
+// moves every lookup counter by exactly the delta the same Query moves it
+// by — so per-layer lookup figures stay comparable whichever one a caller
+// uses.
+func TestCountMatchesQuery(t *testing.T) {
+	for _, p := range []*ir.Program{
+		frontend.MustParse(statsSrc),
+		proggen.Generate(3, proggen.Config{MaxStmts: 60}),
+	} {
+		g := Compute(p)
+		ends := append([]*ir.Stmt{nil, g.Entry}, p.Stmts()...)
+		patterns := []Vector{nil, {DirEQ}, {DirLT}, {DirAny}, {DirEQ, DirLT}}
+		checked, nonEmpty := 0, 0
+		for kind := Flow; kind <= Control; kind++ {
+			for _, src := range ends {
+				for _, dst := range ends {
+					for _, pat := range patterns {
+						before := g.Stats()
+						want := len(g.Query(kind, src, dst, pat))
+						queryDelta := g.Stats().Sub(before)
+						before = g.Stats()
+						got := g.Count(kind, src, dst, pat)
+						countDelta := g.Stats().Sub(before)
+						if got != want {
+							t.Fatalf("%s: Count(%s, %v, %v, %s) = %d, len(Query) = %d",
+								p.Name, kind, src, dst, pat, got, want)
+						}
+						if countDelta != queryDelta {
+							t.Fatalf("%s: Count(%s, %v, %v, %s) moved stats by %+v, Query by %+v",
+								p.Name, kind, src, dst, pat, countDelta, queryDelta)
+						}
+						checked++
+						if want > 0 {
+							nonEmpty++
+						}
+					}
+				}
+			}
+		}
+		if nonEmpty == 0 || nonEmpty == checked {
+			t.Fatalf("%s: %d of %d queries matched; the comparison is degenerate", p.Name, nonEmpty, checked)
+		}
 	}
 }
 

@@ -6,36 +6,46 @@ import (
 )
 
 // Update incrementally maintains the graph after the program edits recorded
-// in changes (an ir.ChangeLog slice). It re-derives only the dependences of
-// locations the edits touched, keeping every other edge, and falls back to a
+// in changes (an ir.ChangeLog slice). It re-derives only the dependences the
+// edits can have changed, keeping every other edge, and falls back to a
 // full recomputation when an edit changes the CFG shape (any change
 // involving a DO/IF bracket statement, or a wholesale program replacement).
 // The result is identical — edge order included — to a fresh Compute of the
 // current program. It returns false when the fallback path ran.
 //
-// The incremental path is justified by two observations. First, the CFG is
+// The incremental path rests on three observations. First, the CFG is
 // determined solely by statement kinds and bracket positions, so edits to
 // straight-line statements (assign, read, print) leave it intact up to index
 // renumbering. Second, reaching-definition gen/kill sets only interact
-// within a single location name: a statement neither generates nor kills
+// within a single scalar name: a statement neither generates nor kills
 // facts about names it does not access, so its insertion, removal, movement
-// or rewriting cannot change the dataflow facts — and hence the dependences
-// — of any other name. Re-analyzing the union of names accessed by the old
-// and new images of every edited statement (dataflow.AnalyzeNames) therefore
-// reproduces exactly the edges a full recomputation would build for them.
+// or rewriting cannot change the dataflow facts — and hence the scalar
+// dependences — of any other name. Re-analyzing the union of scalar names
+// accessed by the old and new images of every edited statement
+// (dataflow.AnalyzeNames) therefore reproduces exactly the scalar edges a
+// full recomputation would build for them. Third, an array edge is the
+// result of one pair test (testPair), which reads only the two accesses,
+// their common loops and their relative order. A non-structural edit
+// changes none of these for a pair neither of whose statements it edited,
+// so only array edges with an edited endpoint are dropped and re-tested.
 //
-// Per-primitive dirty rules:
+// Per-primitive dirty rules (scalar edges by name, array edges by edited
+// statement, control edges by touched statement):
 //
-//	Add(s), Copy → s:  names of s dirty; control edges onto s rebuilt
-//	Delete(s):         names of s dirty; edges incident to s dropped
-//	Move(s):           names of s dirty; control edges onto s rebuilt
-//	Modify(s):         names of the old AND new images of s dirty
-//	Modify(DO head), same LCV:  additionally every name accessed in the
-//	                   loop body — bound values shape the direction vectors
-//	                   of carried dependences, and those edges run only
+//	Add(s), Copy → s:  scalar names of s dirty; s edited; control edges
+//	                   onto s rebuilt
+//	Delete(s):         scalar names of s dirty; edges incident to s dropped
+//	Move(s):           scalar names of s dirty; s edited; control edges
+//	                   onto s rebuilt
+//	Modify(s):         scalar names of the old AND new images of s dirty;
+//	                   s edited
+//	Modify(DO head), same LCV:  additionally every scalar name accessed in
+//	                   the loop body dirty and every body statement edited
+//	                   — bound values shape the direction vectors of
+//	                   carried dependences, and those edges run only
 //	                   between body statements
-//	Modify(IF head), same kind: names rule only — the control region and
-//	                   its edges are unchanged
+//	Modify(IF head), same kind: s only — the control region and its edges
+//	                   are unchanged
 //	kind change / LCV rename / insert, delete or move of any bracket
 //	statement / CopyFrom:  full recomputation
 func (g *Graph) Update(changes []ir.Change) bool {
@@ -44,6 +54,7 @@ func (g *Graph) Update(changes []ir.Change) bool {
 	}
 	p := g.Prog
 	dirty := make(map[string]bool)
+	edited := make(map[*ir.Stmt]bool)
 	touched := make(map[*ir.Stmt]bool)
 	moved := false
 	for _, c := range changes {
@@ -52,15 +63,16 @@ func (g *Graph) Update(changes []ir.Change) bool {
 			g.recompute()
 			return false
 		}
+		edited[c.Stmt] = true
 		switch c.Kind {
 		case ir.ChangeModify:
-			addStmtNames(dirty, c.Before)
-			addStmtNames(dirty, c.Stmt)
+			addScalarNames(dirty, c.Before)
+			addScalarNames(dirty, c.Stmt)
 			if c.Stmt.Kind == ir.SDoHead {
-				g.addRegionNames(dirty, c.Stmt)
+				g.addLoopBody(dirty, edited, c.Stmt)
 			}
 		case ir.ChangeInsert, ir.ChangeMove, ir.ChangeDelete:
-			addStmtNames(dirty, c.Stmt)
+			addScalarNames(dirty, c.Stmt)
 			touched[c.Stmt] = true
 			if c.Kind == ir.ChangeMove {
 				moved = true
@@ -68,16 +80,22 @@ func (g *Graph) Update(changes []ir.Change) bool {
 		}
 	}
 
-	// Drop every edge the edits can have invalidated: data edges on a dirty
-	// name, control edges onto a touched statement, and any edge with an
-	// endpoint no longer in the program.
+	// Drop every edge the edits can have invalidated: scalar edges on a
+	// dirty name, array edges with an edited endpoint, control edges onto a
+	// touched statement, and any edge with an endpoint no longer in the
+	// program.
 	kept := g.Deps[:0]
 	for _, d := range g.Deps {
-		if d.Kind == Control {
+		switch {
+		case d.Kind == Control:
 			if touched[d.Dst] || p.Index(d.Src) < 0 || p.Index(d.Dst) < 0 {
 				continue
 			}
-		} else {
+		case g.arrays[d.Var]:
+			if edited[d.Src] || edited[d.Dst] || p.Index(d.Src) < 0 || p.Index(d.Dst) < 0 {
+				continue
+			}
+		default:
 			if dirty[d.Var] {
 				continue
 			}
@@ -102,14 +120,14 @@ func (g *Graph) Update(changes []ir.Change) bool {
 	}
 	g.flow = nil // full dataflow is stale; Dataflow() recomputes on demand
 
-	// Rebuild the dirty region: scalar and array dependences of the dirty
-	// names, and control dependences onto relocated or inserted statements.
+	// Rebuild the dirty region: scalar dependences of the dirty names, array
+	// dependences with an edited endpoint, and control dependences onto
+	// relocated or inserted statements.
 	lt := buildLoopTable(p)
 	if len(dirty) > 0 {
-		a := dataflow.AnalyzeNames(p, dirty)
-		g.scalarDepsFrom(a, lt)
-		g.arrayDeps(lt, dirty)
+		g.scalarDepsFrom(dataflow.AnalyzeNames(p, dirty), lt)
 	}
+	g.arrayDeps(lt, edited)
 	for s := range touched {
 		i := p.Index(s)
 		if i < 0 {
@@ -147,12 +165,13 @@ func structuralChange(c ir.Change) bool {
 	}
 }
 
-// addRegionNames dirties every location name accessed inside head's loop
-// body (head and matching end included). Used for DO-head bound modifies:
-// any dependence whose direction vector involves the loop runs between two
-// statements of the body, so re-deriving the body's names rebuilds every
-// edge the new bounds could reshape.
-func (g *Graph) addRegionNames(set map[string]bool, head *ir.Stmt) {
+// addLoopBody marks every statement of head's loop (head and matching end
+// included) edited and dirties the scalar names they access. Used for
+// DO-head bound modifies: any dependence whose direction vector involves the
+// loop runs between two statements of the body, so re-deriving the body's
+// scalar names and re-testing its array accesses rebuilds every edge the
+// new bounds could reshape.
+func (g *Graph) addLoopBody(names map[string]bool, edited map[*ir.Stmt]bool, head *ir.Stmt) {
 	i := g.Prog.Index(head)
 	if i < 0 {
 		return // deleted by a later change in the batch
@@ -165,7 +184,8 @@ func (g *Graph) addRegionNames(set map[string]bool, head *ir.Stmt) {
 		case ir.SDoEnd:
 			depth--
 		}
-		addStmtNames(set, s)
+		addScalarNames(names, s)
+		edited[s] = true
 		if depth == 0 {
 			return
 		}
@@ -180,19 +200,27 @@ func isBracket(k ir.StmtKind) bool {
 	return false
 }
 
-// addStmtNames adds every location name statement s accesses — its
-// definition target, every scalar read (subscript variables included), and
-// every array operand — to the set.
-func addStmtNames(set map[string]bool, s *ir.Stmt) {
+// addScalarNames adds every scalar name statement s accesses — its scalar
+// definition target and every scalar read, subscript variables included —
+// to the set. Array names are left out: array edges are maintained per
+// edited statement, and array accesses neither generate nor kill scalar
+// dataflow facts.
+func addScalarNames(set map[string]bool, s *ir.Stmt) {
 	if s == nil {
 		return
 	}
-	if d, ok := s.Defs(); ok {
-		set[d.Name] = true
-		for _, sub := range d.Subs {
+	addSubVars := func(subs []ir.LinExpr) {
+		for _, sub := range subs {
 			for _, v := range sub.Vars() {
 				set[v] = true
 			}
+		}
+	}
+	if d, ok := s.Defs(); ok {
+		if d.IsArray() {
+			addSubVars(d.Subs)
+		} else {
+			set[d.Name] = true
 		}
 	}
 	for _, u := range s.Uses() {
@@ -200,12 +228,7 @@ func addStmtNames(set map[string]bool, s *ir.Stmt) {
 		case ir.Var:
 			set[u.Name] = true
 		case ir.ArrayRef:
-			set[u.Name] = true
-			for _, sub := range u.Subs {
-				for _, v := range sub.Vars() {
-					set[v] = true
-				}
-			}
+			addSubVars(u.Subs)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package dataflow implements the iterative bitvector analyses the
 // dependence analyzer is built on: reaching definitions (for flow and
-// output dependences), upward-exposed reaching uses (for anti dependences)
-// and liveness (used by the benefit estimator).
+// output dependences) and upward-exposed reaching uses (for anti
+// dependences). Liveness is not on that path: Analyze and AnalyzeNames never
+// compute it, and Analysis.LiveOutOf computes it for the analyzed snapshot
+// on first use.
 package dataflow
 
 // BitSet is a fixed-capacity bit vector.

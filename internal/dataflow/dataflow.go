@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"sync"
+
 	"repro/internal/cfg"
 	"repro/ir"
 )
@@ -58,11 +60,18 @@ type Analysis struct {
 	// edges included) with no definition of their location in between: the
 	// uses the implicit zero-initialization at program entry can reach.
 	UpwardExposed BitSet
-	// LiveOut[i] = names live at exit of statement i.
-	LiveOut []map[string]bool
+
+	// liveOut[i] = names live at exit of statement i. Nothing on the
+	// dependence path reads liveness, so it is computed on the first
+	// LiveOutOf call rather than by Analyze; the Once makes that safe when
+	// sharded edge generation shares one analysis across goroutines.
+	liveOnce sync.Once
+	liveOut  []map[string]bool
 }
 
-// Analyze runs all analyses on a snapshot of p.
+// Analyze runs the reaching-definition and exposed-use analyses on a
+// snapshot of p. Liveness is not part of it: LiveOutOf computes it on first
+// use.
 func Analyze(p *ir.Program) *Analysis { return analyze(p, nil) }
 
 // AnalyzeNames runs the same analyses restricted to the definitions and uses
@@ -71,8 +80,8 @@ func Analyze(p *ir.Program) *Analysis { return analyze(p, nil) }
 // facts for those names are identical to the corresponding slice of a full
 // Analyze — at a fraction of the cost. The incremental dependence updater
 // uses this to re-derive only the dependences of names an edit touched.
-// Liveness (LiveOut) is likewise restricted and should not be consulted on a
-// name-filtered analysis.
+// AnalyzeNames never computes liveness; LiveOutOf on a name-filtered
+// analysis would see only the filtered names and should not be consulted.
 func AnalyzeNames(p *ir.Program, names map[string]bool) *Analysis {
 	return analyze(p, names)
 }
@@ -101,7 +110,6 @@ func analyze(p *ir.Program, names map[string]bool) *Analysis {
 	} else {
 		a.UpwardExposed = NewBitSet(0)
 	}
-	a.liveness(p)
 	return a
 }
 
@@ -294,8 +302,8 @@ func (a *Analysis) DefIdxsAt(i int) []int { return a.defsAt[i] }
 // UseIdxsAt returns indices into Uses for statement i.
 func (a *Analysis) UseIdxsAt(i int) []int { return a.usesAt[i] }
 
-func (a *Analysis) liveness(p *ir.Program) {
-	n := p.Len()
+func (a *Analysis) liveness() {
+	n := len(a.Graph.Succ)
 	liveIn := make([]map[string]bool, n)
 	liveOut := make([]map[string]bool, n)
 	for i := 0; i < n; i++ {
@@ -336,7 +344,7 @@ func (a *Analysis) liveness(p *ir.Program) {
 			}
 		}
 	}
-	a.LiveOut = liveOut
+	a.liveOut = liveOut
 }
 
 func sameStringSet(a, b map[string]bool) bool {
@@ -351,10 +359,13 @@ func sameStringSet(a, b map[string]bool) bool {
 	return true
 }
 
-// LiveOutOf reports whether name is live at exit of statement i.
+// LiveOutOf reports whether name is live at exit of statement i. The first
+// call computes liveness for the whole snapshot; it is safe for concurrent
+// use.
 func (a *Analysis) LiveOutOf(i int, name string) bool {
-	if i < 0 || i >= len(a.LiveOut) {
+	a.liveOnce.Do(a.liveness)
+	if i < 0 || i >= len(a.liveOut) {
 		return false
 	}
-	return a.LiveOut[i][name]
+	return a.liveOut[i][name]
 }

@@ -1,10 +1,13 @@
 package dataflow
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/frontend"
+	"repro/internal/proggen"
+	"repro/ir"
 )
 
 func TestBitSetBasics(t *testing.T) {
@@ -337,5 +340,109 @@ func TestDoHeadDefinesLCV(t *testing.T) {
 	})
 	if !found {
 		t.Error("LCV def must reach the body")
+	}
+}
+
+// reachLiveOut is a path-based reference for liveness: name is live at exit
+// of statement i iff some CFG path from a successor of i reaches a use of
+// name with no scalar definition of name in between (a statement that both
+// uses and defines name counts as a use).
+func reachLiveOut(a *Analysis, i int, name string) bool {
+	seen := make([]bool, len(a.Graph.Succ))
+	stack := append([]int(nil), a.Graph.Succ[i]...)
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		used, killed := false, false
+		for _, u := range a.UsesAt(s) {
+			used = used || u.Name == name
+		}
+		for _, d := range a.DefsAt(s) {
+			killed = killed || (!d.IsArray && d.Name == name)
+		}
+		if used {
+			return true
+		}
+		if !killed {
+			stack = append(stack, a.Graph.Succ[s]...)
+		}
+	}
+	return false
+}
+
+// analysisNames lists every location name the analysis saw.
+func analysisNames(a *Analysis) []string {
+	set := map[string]bool{}
+	for _, d := range a.Defs {
+		set[d.Name] = true
+	}
+	for _, u := range a.Uses {
+		set[u.Name] = true
+	}
+	var out []string
+	for n := range set {
+		out = append(out, n)
+	}
+	return out
+}
+
+// TestLivenessOnDemand: neither Analyze nor AnalyzeNames computes liveness;
+// the first LiveOutOf does, from the snapshot taken at Analyze time, and
+// every answer matches the path-based reference — also after the program
+// has been edited since the analysis ran.
+func TestLivenessOnDemand(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		p := proggen.Generate(seed, proggen.Config{MaxStmts: 40})
+		a := Analyze(p)
+		if an := AnalyzeNames(p, map[string]bool{"n": true}); a.liveOut != nil || an.liveOut != nil {
+			t.Fatalf("seed %d: liveness computed before any LiveOutOf call", seed)
+		}
+		// Edit the program after the analysis: liveness must still describe
+		// the analyzed snapshot, as it did when Analyze computed it eagerly.
+		p.InsertAt(0, ir.CloneStmt(p.At(p.Len()-1)))
+		p.Delete(p.At(1))
+		names := analysisNames(a)
+		for i := range a.Graph.Succ {
+			for _, name := range names {
+				if got, want := a.LiveOutOf(i, name), reachLiveOut(a, i, name); got != want {
+					t.Fatalf("seed %d: LiveOutOf(%d, %s) = %t, reference %t", seed, i, name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLivenessConcurrentFirstUse: concurrent first callers share one
+// computation (run under -race) and all see the same answers.
+func TestLivenessConcurrentFirstUse(t *testing.T) {
+	p := proggen.Generate(5, proggen.Config{MaxStmts: 60})
+	ref := Analyze(p)
+	names := analysisNames(ref)
+	ref.LiveOutOf(0, names[0]) // settle the reference before the race
+	a := Analyze(p)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := p.Len() - 1; i >= 0; i-- {
+				for _, name := range names {
+					if a.LiveOutOf(i, name) != ref.LiveOutOf(i, name) {
+						errs <- name
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for name := range errs {
+		t.Errorf("concurrent LiveOutOf disagrees with a sequential analysis on %s", name)
 	}
 }
