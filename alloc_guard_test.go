@@ -13,12 +13,15 @@ import (
 )
 
 // maxHompackAllocMB bounds the bytes the interpreted CTP,CFO,DCE,FUS,PAR
-// pipeline allocates per hompack-ish program. It is about 190 MB when the
-// dependence layer builds only what its callers read, and about 570 MB when
-// the enumeration-order heuristic materializes the edge lists it only
+// pipeline allocates per hompack-ish program. It is about 157 MB when
+// dependence updates splice edges into per-statement buckets and solve the
+// name-restricted dataflow in flat bit buffers, about 193 MB when each
+// update re-hashes and relinks the whole edge list and allocates a bit set
+// per statement per solver iteration, and about 570 MB when the
+// enumeration-order heuristic also materializes the edge lists it only
 // counts, liveness is computed eagerly and an edit re-runs every pair test
 // of the arrays it touches.
-const maxHompackAllocMB = 300
+const maxHompackAllocMB = 185
 
 // TestHompackPipelineAllocations guards that figure. Race builds are
 // excluded: the race detector's instrumentation changes allocation totals.

@@ -25,6 +25,7 @@ import (
 	"repro/dep"
 	"repro/internal/advisor"
 	"repro/internal/codegen"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/farm"
 	"repro/internal/gospel"
@@ -132,7 +133,7 @@ func BenchmarkDependenceAnalysis(b *testing.B) {
 	for _, w := range workloads.All {
 		w := w
 		progs = append(progs, func() int {
-			return len(dep.Compute(w.Program()).Deps)
+			return len(dep.Compute(w.Program()).Deps())
 		})
 	}
 	b.ResetTimer()
@@ -194,6 +195,37 @@ func BenchmarkApplyPipelineLarge(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkHompackPipeline is the interpreted five-pass CTP,CFO,DCE,FUS,PAR
+// pipeline over the 379-statement hompack-ish program, one operation being
+// parse → five ApplyAll passes → MiniF print with the optimizers compiled
+// once up front. It is the perfbench hompack-ish operation as a go test
+// benchmark, so a profile of the dependence layer needs no benchmark build:
+//
+//	go test -run '^$' -bench HompackPipeline -benchmem -cpuprofile cpu.out .
+func BenchmarkHompackPipeline(b *testing.B) {
+	raw, err := os.ReadFile(filepath.Join("examples", "programs", "hompack-ish.mf"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var passes []*engine.Optimizer
+	for _, name := range []string{"CTP", "CFO", "DCE", "FUS", "PAR"} {
+		passes = append(passes, specs.MustCompile(name))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := ParseProgram(string(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range passes {
+			if _, err := o.ApplyAll(p); err != nil {
+				b.Fatalf("%s: %v", o.Name(), err)
+			}
+		}
+		_ = ir.ToMiniF(p)
 	}
 }
 

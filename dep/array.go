@@ -35,7 +35,7 @@ func (g *Graph) arrayDeps(lt *loopTable, edited map[*ir.Stmt]bool) {
 		// Fan the per-array pair tests out over the pool: one array's tests
 		// never look at another array's accesses, so sharding the name list
 		// and buffering each shard's edges produces the same edge set; the
-		// canonical sort in normalize erases the insertion order.
+		// canonical layout erases the insertion order.
 		shards := g.workers
 		if shards > len(names) {
 			shards = len(names)
@@ -62,39 +62,52 @@ func (g *Graph) arrayDeps(lt *loopTable, edited map[*ir.Stmt]bool) {
 	}
 }
 
-// collectArrayGroups gathers every array access, records the array-name
-// census (g.arrays), and returns the per-array access groups with a
-// deterministic name order. A non-nil edited set keeps only the arrays
-// some edited statement accesses.
+// collectArrayGroups returns the per-array access groups the pair tests
+// run over, with a deterministic name order, and keeps the array-name
+// census (g.arrays) current. A nil edited set groups every access of the
+// program. A non-nil one groups only the arrays some edited statement
+// still in the program accesses. Those statements are the only source of
+// names the census has not seen since the last full build.
 func (g *Graph) collectArrayGroups(edited map[*ir.Stmt]bool) (map[string][]access, []string) {
-	accesses := collectAccesses(g.Prog)
-	byName := make(map[string][]access)
-	var names []string
 	if g.arrays == nil {
 		g.arrays = make(map[string]bool)
 	}
-	for _, ac := range accesses {
-		// Record every array name — skipped ones included — so lookup
-		// counters can classify edges kept from before this update.
-		g.arrays[ac.op.Name] = true
-		if _, seen := byName[ac.op.Name]; !seen {
-			names = append(names, ac.op.Name)
-		}
-		byName[ac.op.Name] = append(byName[ac.op.Name], ac)
-	}
-	if edited == nil {
-		return byName, names
-	}
-	kept := names[:0]
-	for _, name := range names {
-		for _, ac := range byName[name] {
-			if edited[ac.stmt] {
-				kept = append(kept, name)
-				break
+	var want map[string]bool
+	if edited != nil {
+		want = make(map[string]bool)
+		var acc []access
+		for s := range edited {
+			if g.Prog.Index(s) < 0 {
+				continue
+			}
+			acc = appendAccesses(acc[:0], s)
+			for _, ac := range acc {
+				want[ac.op.Name] = true
+				g.noteArray(ac.op.Name)
 			}
 		}
+		if len(want) == 0 {
+			return nil, nil
+		}
 	}
-	return byName, kept
+	byName := make(map[string][]access)
+	var names []string
+	var acc []access
+	for _, s := range g.Prog.Stmts() {
+		acc = appendAccesses(acc[:0], s)
+		for _, ac := range acc {
+			name := ac.op.Name
+			if want != nil && !want[name] {
+				continue
+			}
+			g.noteArray(name)
+			if _, seen := byName[name]; !seen {
+				names = append(names, name)
+			}
+			byName[name] = append(byName[name], ac)
+		}
+	}
+	return byName, names
 }
 
 // pairTests runs the subscript tests over every ordered pair of one
@@ -137,20 +150,18 @@ func pairKind(src, dst access) (Kind, bool) {
 	return 0, false // read-read: no dependence
 }
 
-func collectAccesses(p *ir.Program) []access {
-	var out []access
-	for _, s := range p.Stmts() {
-		if (s.Kind == ir.SAssign || s.Kind == ir.SRead) && s.Dst.IsArray() {
-			out = append(out, access{stmt: s, op: s.Dst, isWrite: true, pos: 1})
+// appendAccesses appends the array accesses of statement s to out: the
+// store first, then the reads in operand-slot order.
+func appendAccesses(out []access, s *ir.Stmt) []access {
+	store := s.Kind == ir.SAssign || s.Kind == ir.SRead
+	if store && s.Dst.IsArray() {
+		out = append(out, access{stmt: s, op: s.Dst, isWrite: true, pos: 1})
+	}
+	for slot := 1; slot <= 3+len(s.Args); slot++ {
+		if store && slot == 1 {
+			continue // the write, already recorded
 		}
-		for slot := 1; slot <= 3+len(s.Args); slot++ {
-			opp := s.OperandSlot(slot)
-			if opp == nil || !opp.IsArray() {
-				continue
-			}
-			if (s.Kind == ir.SAssign || s.Kind == ir.SRead) && slot == 1 {
-				continue // the write, already recorded
-			}
+		if opp := s.OperandSlot(slot); opp != nil && opp.IsArray() {
 			out = append(out, access{stmt: s, op: *opp, isWrite: false, pos: slot})
 		}
 	}
@@ -161,29 +172,28 @@ func collectAccesses(p *ir.Program) []access {
 // the resulting dependences.
 func (g *Graph) testPair(kind Kind, src, dst access, lt *loopTable, emit func(Dependence)) {
 	p := g.Prog
-	common := lt.common(p.Index(src.stmt), p.Index(dst.stmt))
+	srcIdx, dstIdx := p.Index(src.stmt), p.Index(dst.stmt)
+	common := lt.common(srcIdx, dstIdx)
 	n := len(common)
-	lcvAt := make(map[string]int, n) // LCV name → level (0-based)
-	for k, l := range common {
-		lcvAt[l.LCV()] = k
+	// Common nests are shallow; the fixed buffers keep a pair test's
+	// working state off the heap.
+	var lcvBuf [4]string
+	var boundBuf [4]levelBounds
+	var dirBuf [4]DirSet
+	nest := newLoopNest(common, lcvBuf[:0], boundBuf[:0])
+	dirs := dirBuf[:0]
+	for range n {
+		dirs = append(dirs, DirAny)
 	}
-
-	dirs := make([]DirSet, n)
-	for i := range dirs {
-		dirs[i] = DirAny
-	}
-	bounds := loopBounds(common, lcvAt)
 	dims := len(src.op.Subs)
 	if len(dst.op.Subs) < dims {
 		dims = len(dst.op.Subs)
 	}
 	for d := 0; d < dims; d++ {
-		if !constrainDim(src.op.Subs[d], dst.op.Subs[d], lcvAt, bounds, dirs) {
+		if !constrainDim(src.op.Subs[d], dst.op.Subs[d], &nest, dirs) {
 			return // this dimension proves independence
 		}
 	}
-
-	srcIdx, dstIdx := p.Index(src.stmt), p.Index(dst.stmt)
 
 	// Loop-independent dependence: all levels admit '=' and the source is
 	// lexically (and thus execution-order, within one iteration) first.
@@ -233,16 +243,33 @@ func (g *Graph) testPair(kind Kind, src, dst access, lt *loopTable, emit func(De
 	}
 }
 
-// loopBounds extracts the iteration-value range of each constant-bound
-// common loop (level → [min, max]), the information the Banerjee and
-// weak-SIV tests consume.
-func loopBounds(common []ir.Loop, lcvAt map[string]int) map[int][2]int64 {
-	out := map[int][2]int64{}
-	for _, l := range common {
-		k, ok := lcvAt[l.LCV()]
-		if !ok {
-			continue
-		}
+// loopNest describes the loops a subscript test runs under, outermost
+// first: each level's index variable and, for constant-bound loops, the
+// iteration-value range the Banerjee and weak-SIV tests consume.
+type loopNest struct {
+	lcvs   []string
+	bounds []levelBounds
+}
+
+// levelBounds is one level's iteration range [lo, hi]; ok is false when
+// the loop's bounds are not constant.
+type levelBounds struct {
+	lo, hi int64
+	ok     bool
+}
+
+// newLoopNest describes loops, appending to the given (empty) buffers.
+func newLoopNest(loops []ir.Loop, lcvs []string, bounds []levelBounds) loopNest {
+	nest := loopNest{lcvs: lcvs, bounds: bounds}
+	for _, l := range loops {
+		nest.lcvs = append(nest.lcvs, l.LCV())
+		nest.bounds = append(nest.bounds, levelBounds{})
+	}
+	for _, l := range loops {
+		// A level whose index variable an inner loop reuses is never
+		// looked up; its range lands on the inner level unless the inner
+		// loop's own constant range overwrites it.
+		k, _ := nest.level(l.LCV())
 		h := l.Head
 		if !h.Init.IsConst() || !h.Final.IsConst() {
 			continue
@@ -251,49 +278,81 @@ func loopBounds(common []ir.Loop, lcvAt map[string]int) map[int][2]int64 {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		out[k] = [2]int64{lo, hi}
+		nest.bounds[k] = levelBounds{lo: lo, hi: hi, ok: true}
 	}
-	return out
+	return nest
+}
+
+// level returns the level whose index variable is name — the innermost
+// one when nested loops share a variable — and whether there is one.
+func (n *loopNest) level(name string) (int, bool) {
+	for k := len(n.lcvs) - 1; k >= 0; k-- {
+		if n.lcvs[k] == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// normalized returns e.Normalize(), returning e itself when it is already
+// in normal form (terms strictly ordered by variable, no zero coefficient)
+// so the common case allocates nothing.
+func normalized(e ir.LinExpr) ir.LinExpr {
+	for i, t := range e.Terms {
+		if t.Coef == 0 || i > 0 && e.Terms[i-1].Var >= t.Var {
+			return e.Normalize()
+		}
+	}
+	return e
 }
 
 // constrainDim intersects the direction sets with the constraints from one
 // subscript dimension (equation f(I) = g(I')). It returns false when the
-// dimension proves there is no dependence. bounds carries the known
-// iteration ranges per level for the Banerjee-style interval test.
-func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]int64, dirs []DirSet) bool {
-	f = f.Normalize()
-	gexp = gexp.Normalize()
+// dimension proves there is no dependence. The nest's bounds carry the
+// known iteration ranges per level for the Banerjee-style interval test.
+func constrainDim(f, gexp ir.LinExpr, nest *loopNest, dirs []DirSet) bool {
+	f = normalized(f)
+	gexp = normalized(gexp)
 
-	// Split both sides into common-loop index terms and symbolic terms.
+	// Loop-invariant symbols appearing with equal coefficients on both
+	// sides cancel (the classical assumption); any remaining symbolic term
+	// makes the dimension inconclusive — no constraint. Both term lists
+	// are sorted by variable, so one merge walk nets each symbol.
+	for i, j := 0, 0; i < len(f.Terms) || j < len(gexp.Terms); {
+		var name string
+		var net int64 // src coef − dst coef
+		switch {
+		case j == len(gexp.Terms) || i < len(f.Terms) && f.Terms[i].Var < gexp.Terms[j].Var:
+			name, net = f.Terms[i].Var, f.Terms[i].Coef
+			i++
+		case i == len(f.Terms) || gexp.Terms[j].Var < f.Terms[i].Var:
+			name, net = gexp.Terms[j].Var, -gexp.Terms[j].Coef
+			j++
+		default:
+			name, net = f.Terms[i].Var, f.Terms[i].Coef-gexp.Terms[j].Coef
+			i++
+			j++
+		}
+		if _, isIndex := nest.level(name); !isIndex && net != 0 {
+			return true
+		}
+	}
+
+	// The common-loop index terms of both sides, per level.
 	type coefs struct{ src, dst int64 }
-	loopCoef := map[int]*coefs{}
-	symDiff := map[string]int64{} // src coef − dst coef for non-index symbols
+	var coefBuf [4]coefs
+	loopCoef := coefBuf[:0]
+	for range nest.lcvs {
+		loopCoef = append(loopCoef, coefs{})
+	}
 	for _, t := range f.Terms {
-		if k, ok := lcvAt[t.Var]; ok {
-			if loopCoef[k] == nil {
-				loopCoef[k] = &coefs{}
-			}
+		if k, ok := nest.level(t.Var); ok {
 			loopCoef[k].src += t.Coef
-		} else {
-			symDiff[t.Var] += t.Coef
 		}
 	}
 	for _, t := range gexp.Terms {
-		if k, ok := lcvAt[t.Var]; ok {
-			if loopCoef[k] == nil {
-				loopCoef[k] = &coefs{}
-			}
+		if k, ok := nest.level(t.Var); ok {
 			loopCoef[k].dst += t.Coef
-		} else {
-			symDiff[t.Var] -= t.Coef
-		}
-	}
-	// Loop-invariant symbols appearing with equal coefficients on both
-	// sides cancel (the classical assumption); any remaining symbolic term
-	// makes the dimension inconclusive — no constraint.
-	for _, c := range symDiff {
-		if c != 0 {
-			return true
 		}
 	}
 	cdiff := f.Const - gexp.Const // f + cdiff*0: equation Σ a·i − Σ b·i' = −cdiff
@@ -315,6 +374,7 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 			if c.src == 0 && c.dst == 0 {
 				continue
 			}
+			b := nest.bounds[k]
 			if c.src == c.dst && c.src != 0 {
 				// a·i + cf = a·i′ + cg  ⇒  i′ − i = (cf − cg)/a = cdiff/a.
 				if cdiff%c.src != 0 {
@@ -323,7 +383,7 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 				delta := cdiff / c.src
 				// With known bounds, a distance beyond the iteration span
 				// can never be realized.
-				if b, ok := bounds[k]; ok && abs(delta) > b[1]-b[0] {
+				if b.ok && abs(delta) > b.hi-b.lo {
 					return false
 				}
 				switch {
@@ -353,7 +413,7 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 					}
 					i0 = cdiff / c.dst
 				}
-				if b, ok := bounds[k]; ok && (i0 < b[0] || i0 > b[1]) {
+				if b.ok && (i0 < b.lo || i0 > b.hi) {
 					return false
 				}
 				// Directions stay unconstrained (the fixed side pairs with
@@ -380,21 +440,19 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 	// ranges excludes zero. Levels without known bounds make the interval
 	// unbounded on the affected side.
 	lo, hi := cdiff, cdiff
-	bounded := true
 	for k, c := range loopCoef {
-		b, ok := bounds[k]
-		if !ok {
+		b := nest.bounds[k]
+		if !b.ok {
 			if c.src != 0 || c.dst != 0 {
-				bounded = false
-				break
+				return true
 			}
 			continue
 		}
-		for _, coef := range []int64{c.src, -c.dst} {
+		for _, coef := range [2]int64{c.src, -c.dst} {
 			if coef == 0 {
 				continue
 			}
-			x, y := coef*b[0], coef*b[1]
+			x, y := coef*b.lo, coef*b.hi
 			if x > y {
 				x, y = y, x
 			}
@@ -402,10 +460,7 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 			hi += y
 		}
 	}
-	if bounded && (lo > 0 || hi < 0) {
-		return false
-	}
-	return true
+	return lo <= 0 && hi >= 0
 }
 
 func gcd(a, b int64) int64 {

@@ -12,8 +12,9 @@
 package dep
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dataflow"
@@ -179,12 +180,12 @@ func (d Dependence) String() string {
 	return fmt.Sprintf("%s_dep(S%d → S%d, %s, %s)", d.Kind, d.Src.ID, d.Dst.ID, d.Var, d.Vec)
 }
 
-// Graph is the dependence graph of one program snapshot. It is invalidated
-// by transformation; recompute after each applied optimization (the paper's
-// interface offers the same choice).
+// Graph is the dependence graph of one program snapshot. Compute builds it
+// from scratch; Update keeps it equal to a fresh Compute — edge for edge,
+// canonical order included — across the journaled edits of each applied
+// optimization.
 type Graph struct {
 	Prog *ir.Program
-	Deps []Dependence
 
 	// Entry is a synthetic statement standing for the implicit
 	// zero-initialization of every scalar at program entry. A flow
@@ -200,24 +201,46 @@ type Graph struct {
 	// updates and recomputed lazily on the next Dataflow call.
 	flow *dataflow.Analysis
 
-	// Query index, rebuilt by normalize. from/to hold edge indices by
-	// statement position (slot 0 is Entry), byKind holds them per dependence
-	// kind, and index buckets the exact (kind, src, dst) triples under a
-	// packed integer key. A deleted statement also resolves to slot 0, so
-	// every consumer re-checks endpoint identity while filtering.
-	from   [][]int32
-	to     [][]int32
-	byKind [numKinds][]int32
-	index  map[uint64][]int32
+	// The edge store. edges is an arena addressed by edge ID, class holds
+	// each edge's lookup class, and free lists the IDs of dropped edges
+	// for reuse. from[k] and to[k] hold the IDs of the edges leaving and
+	// entering the statement in slot k (see slot), each in canonical
+	// order: a statement's outgoing edges are sorted by (kind, destination
+	// position, ...), so an exact (kind, src, dst) query is a binary search
+	// of one bucket. stmts[k-1] is the statement slot k held when the
+	// buckets were last laid out; Update carries each bucket along with
+	// its statement across inserts, deletes and moves.
+	edges []Dependence
+	class []edgeClass
+	free  []int32
+	from  [][]int32
+	to    [][]int32
+	stmts []*ir.Stmt
+
+	// scalars indexes the scalar-class edges by variable, so Update finds
+	// the edges of a dirty name without walking the graph.
+	scalars map[string][]int32
+
+	// byKind[k] lists the candidates of a kind-only query — kind k's run of
+	// every from bucket, in slot order. It is built by the first such query
+	// after the edge store changed (kindsOK[k] false), so a search's many
+	// kind-only queries share one walk of the buckets.
+	byKind  [numKinds][]int32
+	kindsOK [numKinds]bool
 
 	// arrays names every array accessed by the program, so lookup counters
 	// can classify data edges as scalar or array. Filled by arrayDeps.
 	arrays map[string]bool
 
-	// scratch is the spare edge buffer normalize ping-pongs with Deps, so
-	// the per-application canonicalization does not allocate a fresh slice
-	// every time.
-	scratch []Dependence
+	// pending collects the edges a derivation emits until commit (a full
+	// build) or splice (an incremental update) lays them out.
+	pending []Dependence
+	// lt is the loop table of the current snapshot. Update rebuilds it
+	// only when statements were inserted, deleted or moved.
+	lt *loopTable
+	// up is Update's scratch, reused across calls.
+	up updateScratch
+
 	// stats counts this graph's query and maintenance traffic. Plain (not
 	// atomic) counters: a Graph, like a Program, is not safe for concurrent
 	// use, and each fixpoint pass owns its graph.
@@ -226,10 +249,20 @@ type Graph struct {
 	// workers, when > 1, lets the heavy phases of Compute/Update — the
 	// per-name dataflow re-analysis and the pairwise array subscript
 	// tests — fan out over the par pool. The edge SET is identical either
-	// way and normalize imposes a total canonical order, so the resulting
+	// way and the layout imposes a total canonical order, so the resulting
 	// graph is byte-identical to a sequential build. Set via SetWorkers.
 	workers int
 }
+
+// edgeClass is the lookup-counter class of an edge: the Stats field its
+// examination increments.
+type edgeClass uint8
+
+const (
+	scalarEdge edgeClass = iota
+	arrayEdge
+	controlEdge
+)
 
 // Stats counts a graph's query and maintenance traffic. Lookups count the
 // candidate edges Query/Exists examined, classified by the edge: control
@@ -282,7 +315,7 @@ func (g *Graph) AddStats(s Stats) { g.stats = g.stats.Add(s) }
 func (g *Graph) SetWorkers(n int) { g.workers = n }
 
 // Shadow returns a read-only view of the graph for a concurrent search
-// worker: it shares the edge slices and query index (immutable while no
+// worker: it shares the edge store and its buckets (immutable while no
 // mutation runs) but carries private, zeroed stats so workers never race on
 // the counters. The caller merges each shadow's Stats back with AddStats
 // once the parallel section ends. Shadows must not be used across a
@@ -290,26 +323,57 @@ func (g *Graph) SetWorkers(n int) { g.workers = n }
 func (g *Graph) Shadow() *Graph {
 	s := *g
 	s.stats = Stats{}
+	for k, ok := range s.kindsOK {
+		if !ok {
+			s.byKind[k] = nil // built privately, not into the shared array
+		}
+	}
 	return &s
 }
 
-// countLookup classifies one examined candidate edge.
-func (g *Graph) countLookup(d *Dependence) {
-	switch {
-	case d.Kind == Control:
+// countLookup counts one examined candidate edge under its class.
+func (g *Graph) countLookup(id int32) {
+	switch g.class[id] {
+	case controlEdge:
 		g.stats.ControlLookups++
-	case g.arrays[d.Var]:
+	case arrayEdge:
 		g.stats.ArrayLookups++
 	default:
 		g.stats.ScalarLookups++
 	}
 }
 
+// classify returns d's lookup class under the current array census.
+func (g *Graph) classify(d *Dependence) edgeClass {
+	switch {
+	case d.Kind == Control:
+		return controlEdge
+	case g.arrays[d.Var]:
+		return arrayEdge
+	}
+	return scalarEdge
+}
+
+// noteArray adds name to the array census. Scalar-class edges already on
+// that name move to the array class, as a census lookup at query time
+// would classify them.
+func (g *Graph) noteArray(name string) {
+	if g.arrays[name] {
+		return
+	}
+	g.arrays[name] = true
+	for _, id := range g.scalars[name] {
+		g.class[id] = arrayEdge
+	}
+	delete(g.scalars, name)
+}
+
 // numKinds is the number of Kind values (Flow..Control).
 const numKinds = 4
 
-// slot maps a statement to its adjacency index: position+1, with 0 for the
-// synthetic Entry statement (and for statements not in the program).
+// slot maps a statement to its bucket index: position+1, with 0 for the
+// synthetic Entry statement. A statement not in the program also maps to
+// 0, so every query filters candidates by endpoint identity.
 func (g *Graph) slot(s *ir.Stmt) int {
 	if s == g.Entry {
 		return 0
@@ -317,10 +381,24 @@ func (g *Graph) slot(s *ir.Stmt) int {
 	return g.Prog.Index(s) + 1
 }
 
-// key packs an exact (kind, src, dst) query into one integer. Positions fit
-// in 28 bits each; programs are nowhere near that size.
-func (g *Graph) key(kind Kind, src, dst *ir.Stmt) uint64 {
-	return uint64(kind)<<56 | uint64(g.slot(src))<<28 | uint64(g.slot(dst))
+// liveSlot is slot, but -1 for a statement not in the program.
+func (g *Graph) liveSlot(s *ir.Stmt) int {
+	if s == g.Entry {
+		return 0
+	}
+	if i := g.Prog.Index(s); i >= 0 {
+		return i + 1
+	}
+	return -1
+}
+
+// pos is the statement position the canonical order compares: -1 for
+// Entry, which sorts first.
+func (g *Graph) pos(s *ir.Stmt) int {
+	if s == g.Entry {
+		return -1
+	}
+	return g.Prog.Index(s)
 }
 
 // Dataflow returns the dataflow analysis for the current snapshot, computing
@@ -343,185 +421,193 @@ func Compute(p *ir.Program) *Graph {
 // statement's identity so existing bindings to it stay valid.
 func (g *Graph) recompute() {
 	p := g.Prog
-	g.Deps = g.Deps[:0]
-	g.resetMaps()
+	g.edges, g.class, g.free = g.edges[:0], g.class[:0], g.free[:0]
+	clear(g.scalars)
 	g.arrays = make(map[string]bool)
-	lt := buildLoopTable(p)
+	g.lt = buildLoopTable(p, g.lt)
 	a := dataflow.Analyze(p)
 	g.flow = a
-	g.scalarDepsFrom(a, lt)
-	g.arrayDeps(lt, nil)
+	g.scalarDepsFrom(a, g.lt)
+	g.arrayDeps(g.lt, nil)
 	g.controlDeps()
-	g.normalize()
+	g.commit()
 }
 
-func (g *Graph) resetMaps() {
-	n := g.Prog.Len() + 1
-	// Reuse the adjacency backing and the index map's buckets when
-	// possible: resetMaps runs once per incremental update, and the
-	// allocations otherwise dominate its cost.
-	if cap(g.from) >= n && cap(g.to) >= n && g.index != nil {
-		g.from = g.from[:n]
-		g.to = g.to[:n]
-		for i := 0; i < n; i++ {
-			g.from[i] = g.from[i][:0]
-			g.to[i] = g.to[i][:0]
-		}
-		clear(g.index)
-	} else {
-		g.from = make([][]int32, n)
-		g.to = make([][]int32, n)
-		g.index = make(map[uint64][]int32, len(g.Deps))
-	}
-	for k := range g.byKind {
-		g.byKind[k] = g.byKind[k][:0]
-	}
-}
-
+// add queues a derived edge for layout.
 func (g *Graph) add(d Dependence) {
 	if d.Src == nil || d.Dst == nil {
 		return
 	}
-	// Deduplicate identical edges (same kind/ends/var/vector): the exact
-	// (kind, src, dst) index bucket holds every candidate duplicate.
-	for _, di := range g.index[g.key(d.Kind, d.Src, d.Dst)] {
-		e := &g.Deps[di]
-		if e.Src == d.Src && e.Dst == d.Dst &&
-			e.Var == d.Var && e.SrcPos == d.SrcPos && e.DstPos == d.DstPos && vecEqual(e.Vec, d.Vec) {
-			return
-		}
-	}
-	idx := len(g.Deps)
-	g.Deps = append(g.Deps, d)
-	g.link(idx, d)
+	g.pending = append(g.pending, d)
 }
 
-// link registers edge idx in the adjacency lists and the query index.
-func (g *Graph) link(idx int, d Dependence) {
-	si, di := g.slot(d.Src), g.slot(d.Dst)
-	g.from[si] = append(g.from[si], int32(idx))
-	g.to[di] = append(g.to[di], int32(idx))
-	g.byKind[d.Kind] = append(g.byKind[d.Kind], int32(idx))
-	k := g.key(d.Kind, d.Src, d.Dst)
-	g.index[k] = append(g.index[k], int32(idx))
+// insert stores d under a fresh or recycled ID and indexes it by name when
+// it is a scalar edge. The caller places the ID in its buckets.
+func (g *Graph) insert(d Dependence) int32 {
+	c := g.classify(&d)
+	var id int32
+	if k := len(g.free); k > 0 {
+		id, g.free = g.free[k-1], g.free[:k-1]
+		g.edges[id], g.class[id] = d, c
+	} else {
+		id = int32(len(g.edges))
+		g.edges = append(g.edges, d)
+		g.class = append(g.class, c)
+	}
+	if c == scalarEdge {
+		if g.scalars == nil {
+			g.scalars = make(map[string][]int32)
+		}
+		g.scalars[d.Var] = append(g.scalars[d.Var], id)
+	}
+	return id
 }
 
-// normalize sorts the edge list into a canonical order and rebuilds the
-// adjacency and query indexes. Both Compute and Update finish with
-// normalize, so an incrementally maintained graph is identical — edge order
-// included — to a freshly computed one, which keeps candidate enumeration
-// deterministic and makes the differential tests exact.
-func (g *Graph) normalize() { g.normalizeFrom(0) }
-
-// normalizeFrom is normalize knowing the first n edges are already in
-// canonical relative order: it sorts only the suffix and merges the two
-// runs. Update passes the kept-edge count — the expensive full sort then
-// runs only over the handful of freshly derived edges. normalizeFrom(0)
-// is a plain full sort.
-func (g *Graph) normalizeFrom(n int) {
-	m := len(g.Deps)
-	if n > m {
-		n = m
+// commit lays out a full build: the pending edges, sorted canonically with
+// exact duplicates dropped, fill fresh buckets in order. Derivations may
+// emit one edge several times; the comparison covers every field (Vec
+// determines Level and Carried), so duplicates sort next to each other.
+func (g *Graph) commit() {
+	g.kindsOK = [numKinds]bool{}
+	n := g.Prog.Len() + 1
+	g.from = resetBuckets(g.from, n)
+	g.to = resetBuckets(g.to, n)
+	g.stmts = append(g.stmts[:0], g.Prog.Stmts()...)
+	for _, i := range g.sortPending(g.compare) {
+		id := g.insert(g.pending[i])
+		d := &g.edges[id]
+		si, di := g.slot(d.Src), g.slot(d.Dst)
+		g.from[si] = append(g.from[si], id)
+		g.to[di] = append(g.to[di], id)
 	}
-	// The comparator is a total order on distinct edges (add() dedups exact
-	// duplicates), so sorting an index permutation and permuting once is
-	// equivalent to a stable sort of the edge structs — and much cheaper:
-	// the sort swaps ints instead of 100-byte structs through reflection.
-	idx := make([]int32, m-n)
-	for i := range idx {
-		idx[i] = int32(n + i)
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		return g.less(&g.Deps[idx[x]], &g.Deps[idx[y]])
-	})
-	if cap(g.scratch) < m {
-		g.scratch = make([]Dependence, 0, m+m/2)
-	}
-	out := g.scratch[:0]
-	i, j := 0, 0
-	for i < n && j < len(idx) {
-		if g.less(&g.Deps[idx[j]], &g.Deps[i]) {
-			out = append(out, g.Deps[idx[j]])
-			j++
-		} else {
-			out = append(out, g.Deps[i])
-			i++
-		}
-	}
-	out = append(out, g.Deps[i:n]...)
-	for ; j < len(idx); j++ {
-		out = append(out, g.Deps[idx[j]])
-	}
-	g.scratch = g.Deps[:0]
-	g.Deps = out
-	g.resetMaps()
-	for i, d := range g.Deps {
-		g.link(i, d)
-	}
+	g.pending = g.pending[:0]
 }
 
-// less is the canonical edge order: a strict total order on the distinct
-// edges add() admits, anchored at statement positions (Entry first).
-func (g *Graph) less(a, b *Dependence) bool {
-	p := g.Prog
-	pos := func(s *ir.Stmt) int {
-		if s == g.Entry {
-			return -1
+// resetBuckets returns n empty buckets, reusing b's backing arrays.
+func resetBuckets(b [][]int32, n int) [][]int32 {
+	if cap(b) < n {
+		b = append(b[:cap(b)], make([][]int32, n-cap(b))...)
+	}
+	b = b[:n]
+	for i := range b {
+		b[i] = b[i][:0]
+	}
+	return b
+}
+
+// sortPending returns the indices of the pending edges ordered by cmp, one
+// index per run of edges cmp finds equal.
+func (g *Graph) sortPending(cmp func(a, b *Dependence) int) []int32 {
+	order := g.up.order[:0]
+	for i := range g.pending {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(x, y int32) int { return cmp(&g.pending[x], &g.pending[y]) })
+	out := order[:0]
+	for _, i := range order {
+		if k := len(out); k > 0 && cmp(&g.pending[out[k-1]], &g.pending[i]) == 0 {
+			continue
 		}
-		return p.Index(s)
+		out = append(out, i)
 	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+	g.up.order = order
+	return out
+}
+
+// compare is the canonical edge order: a total order on distinct edges,
+// anchored at statement positions (Entry first).
+func (g *Graph) compare(a, b *Dependence) int {
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
 	}
-	if ai, bi := pos(a.Src), pos(b.Src); ai != bi {
-		return ai < bi
+	if c := cmp.Compare(g.pos(a.Src), g.pos(b.Src)); c != 0 {
+		return c
 	}
-	if ai, bi := pos(a.Dst), pos(b.Dst); ai != bi {
-		return ai < bi
+	if c := cmp.Compare(g.pos(a.Dst), g.pos(b.Dst)); c != 0 {
+		return c
 	}
-	if a.Var != b.Var {
-		return a.Var < b.Var
+	if c := strings.Compare(a.Var, b.Var); c != 0 {
+		return c
 	}
-	if a.SrcPos != b.SrcPos {
-		return a.SrcPos < b.SrcPos
+	if c := cmp.Compare(a.SrcPos, b.SrcPos); c != 0 {
+		return c
 	}
-	if a.DstPos != b.DstPos {
-		return a.DstPos < b.DstPos
+	if c := cmp.Compare(a.DstPos, b.DstPos); c != 0 {
+		return c
 	}
-	if a.Level != b.Level {
-		return a.Level < b.Level
+	if c := cmp.Compare(a.Level, b.Level); c != 0 {
+		return c
 	}
 	if a.Carried != b.Carried {
-		return !a.Carried
-	}
-	if len(a.Vec) != len(b.Vec) {
-		return len(a.Vec) < len(b.Vec)
-	}
-	for k := range a.Vec {
-		if a.Vec[k] != b.Vec[k] {
-			return a.Vec[k] < b.Vec[k]
+		if a.Carried {
+			return 1
 		}
+		return -1
 	}
-	return false
+	if c := cmp.Compare(len(a.Vec), len(b.Vec)); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Vec, b.Vec)
 }
 
-func vecEqual(a, b Vector) bool {
-	if len(a) != len(b) {
-		return false
+// kindRange returns the part of a canonically ordered from bucket holding
+// edges of kind.
+func (g *Graph) kindRange(b []int32, kind Kind) []int32 {
+	lo, _ := slices.BinarySearchFunc(b, kind, func(id int32, k Kind) int {
+		return cmp.Compare(g.edges[id].Kind, k)
+	})
+	hi, _ := slices.BinarySearchFunc(b[lo:], kind+1, func(id int32, k Kind) int {
+		return cmp.Compare(g.edges[id].Kind, k)
+	})
+	return b[lo : lo+hi]
+}
+
+// exactRange returns the part of a canonically ordered from bucket holding
+// edges of kind into the statement in slot dst.
+func (g *Graph) exactRange(b []int32, kind Kind, dst int) []int32 {
+	key := func(id int32) int {
+		d := &g.edges[id]
+		return int(d.Kind)<<32 | g.slot(d.Dst)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	want := int(kind)<<32 | dst
+	lo, _ := slices.BinarySearchFunc(b, want, func(id int32, w int) int { return cmp.Compare(key(id), w) })
+	hi, _ := slices.BinarySearchFunc(b[lo:], want+1, func(id int32, w int) int { return cmp.Compare(key(id), w) })
+	return b[lo : lo+hi]
+}
+
+// kindList returns the candidates of a kind-only query.
+func (g *Graph) kindList(kind Kind) []int32 {
+	if !g.kindsOK[kind] {
+		ids := g.byKind[kind][:0]
+		for _, b := range g.from {
+			ids = append(ids, g.kindRange(b, kind)...)
+		}
+		g.byKind[kind], g.kindsOK[kind] = ids, true
+	}
+	return g.byKind[kind]
+}
+
+// Deps returns every edge of the graph in canonical order: by kind, then
+// source position (Entry first), destination position, variable, operand
+// positions, level and vector. It is assembled from the per-statement
+// buckets on each call.
+func (g *Graph) Deps() []Dependence {
+	out := make([]Dependence, 0, len(g.edges)-len(g.free))
+	for k := Kind(0); k < numKinds; k++ {
+		for _, b := range g.from {
+			for _, id := range g.kindRange(b, k) {
+				out = append(out, g.edges[id])
+			}
 		}
 	}
-	return true
+	return out
 }
 
 // From returns the dependences emanating from s.
 func (g *Graph) From(s *ir.Stmt) []Dependence {
 	var out []Dependence
-	for _, i := range g.from[g.slot(s)] {
-		if d := g.Deps[i]; d.Src == s {
+	for _, id := range g.from[g.slot(s)] {
+		if d := g.edges[id]; d.Src == s {
 			out = append(out, d)
 		}
 	}
@@ -531,29 +617,31 @@ func (g *Graph) From(s *ir.Stmt) []Dependence {
 // To returns the dependences terminating at s.
 func (g *Graph) To(s *ir.Stmt) []Dependence {
 	var out []Dependence
-	for _, i := range g.to[g.slot(s)] {
-		if d := g.Deps[i]; d.Dst == s {
+	for _, id := range g.to[g.slot(s)] {
+		if d := g.edges[id]; d.Dst == s {
 			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// candidates returns the tightest index bucket covering a (kind, src, dst)
-// query with nil wildcards. Callers must still filter: adjacency and
-// per-kind buckets over-approximate, and slot 0 conflates Entry with
+// candidates returns, in canonical order, the IDs of the edges a
+// (kind, src, dst) query with nil wildcards must examine: for an exact
+// query the (kind, dst) run of src's bucket, for a one-sided query the
+// whole bucket of the given statement, and for a kind-only query that
+// kind's run of every bucket in statement order. Callers still filter:
+// one-sided buckets hold every kind, and slot 0 conflates Entry with
 // statements no longer in the program.
 func (g *Graph) candidates(kind Kind, src, dst *ir.Stmt) []int32 {
 	switch {
 	case src != nil && dst != nil:
-		return g.index[g.key(kind, src, dst)]
+		return g.exactRange(g.from[g.slot(src)], kind, g.slot(dst))
 	case src != nil:
 		return g.from[g.slot(src)]
 	case dst != nil:
 		return g.to[g.slot(dst)]
-	default:
-		return g.byKind[kind]
 	}
+	return g.kindList(kind)
 }
 
 func (g *Graph) matches(d *Dependence, kind Kind, src, dst *ir.Stmt, pattern Vector) bool {
@@ -567,13 +655,14 @@ func (g *Graph) matches(d *Dependence, kind Kind, src, dst *ir.Stmt, pattern Vec
 // matching the direction pattern. Either src or dst may be nil as a
 // wildcard. This is the paper's dep routine (Fig. 7) generalized to return
 // the full match set; the engine layers the LST/IF search modes on top. An
-// exact query resolves to one hash bucket; wildcard forms scan the matching
-// statement's adjacency list or the per-kind list, never the whole graph.
+// exact query binary-searches the source's bucket; wildcard forms scan the
+// given statement's bucket or one kind's run of every bucket, never the
+// whole graph.
 func (g *Graph) Query(kind Kind, src, dst *ir.Stmt, pattern Vector) []Dependence {
 	var out []Dependence
-	for _, i := range g.candidates(kind, src, dst) {
-		d := &g.Deps[i]
-		g.countLookup(d)
+	for _, id := range g.candidates(kind, src, dst) {
+		d := &g.edges[id]
+		g.countLookup(id)
 		if g.matches(d, kind, src, dst, pattern) {
 			out = append(out, *d)
 		}
@@ -582,15 +671,14 @@ func (g *Graph) Query(kind Kind, src, dst *ir.Stmt, pattern Vector) []Dependence
 }
 
 // Count returns len(Query(kind, src, dst, pattern)) without materializing
-// the matches: it walks the same candidate bucket with the same lookup
+// the matches: it walks the same candidates with the same lookup
 // accounting, so Stats moves by exactly what the Query would have added.
 // The engine's enumeration-order heuristic only needs the size.
 func (g *Graph) Count(kind Kind, src, dst *ir.Stmt, pattern Vector) int {
 	n := 0
-	for _, i := range g.candidates(kind, src, dst) {
-		d := &g.Deps[i]
-		g.countLookup(d)
-		if g.matches(d, kind, src, dst, pattern) {
+	for _, id := range g.candidates(kind, src, dst) {
+		g.countLookup(id)
+		if g.matches(&g.edges[id], kind, src, dst, pattern) {
 			n++
 		}
 	}
@@ -600,10 +688,9 @@ func (g *Graph) Count(kind Kind, src, dst *ir.Stmt, pattern Vector) int {
 // Exists reports whether any dependence matches the query. Unlike Query it
 // allocates nothing and stops at the first match.
 func (g *Graph) Exists(kind Kind, src, dst *ir.Stmt, pattern Vector) bool {
-	for _, i := range g.candidates(kind, src, dst) {
-		d := &g.Deps[i]
-		g.countLookup(d)
-		if g.matches(d, kind, src, dst, pattern) {
+	for _, id := range g.candidates(kind, src, dst) {
+		g.countLookup(id)
+		if g.matches(&g.edges[id], kind, src, dst, pattern) {
 			return true
 		}
 	}
@@ -613,7 +700,7 @@ func (g *Graph) Exists(kind Kind, src, dst *ir.Stmt, pattern Vector) bool {
 // String renders the graph for debugging.
 func (g *Graph) String() string {
 	var b strings.Builder
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		b.WriteString(d.String())
 		b.WriteByte('\n')
 	}

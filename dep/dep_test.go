@@ -1,6 +1,7 @@
 package dep
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/frontend"
@@ -11,7 +12,7 @@ import (
 // (0 as wildcard).
 func find(g *Graph, kind Kind, srcID, dstID int) []Dependence {
 	var out []Dependence
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Kind != kind {
 			continue
 		}
@@ -234,7 +235,7 @@ END`)
 		}
 	}
 	if len(carried) != 1 {
-		t.Fatalf("carried array flow = %v (all: %v)", carried, g.Deps)
+		t.Fatalf("carried array flow = %v (all: %v)", carried, g.Deps())
 	}
 	if carried[0].Vec[0] != DirLT {
 		t.Errorf("direction = %v, want <", carried[0].Vec)
@@ -260,7 +261,7 @@ END`)
 		}
 	}
 	if len(carried) != 1 {
-		t.Fatalf("carried anti = %v (all: %v)", carried, g.Deps)
+		t.Fatalf("carried anti = %v (all: %v)", carried, g.Deps())
 	}
 	if carried[0].Vec[0] != DirLT {
 		t.Errorf("anti direction = %v", carried[0].Vec)
@@ -284,7 +285,7 @@ DO i = 1, 10
 ENDDO
 END`)
 	g := Compute(p)
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Carried && d.Kind != Control {
 			t.Errorf("spurious carried dep: %v", d)
 		}
@@ -345,7 +346,7 @@ END`)
 		}
 	}
 	if len(hit) == 0 {
-		t.Fatalf("(<,>) flow dep missing; deps: %v", g.Deps)
+		t.Fatalf("(<,>) flow dep missing; deps: %v", g.Deps())
 	}
 
 	// a(i,j) = a(i-1,j) has (<,=) — interchange legal.
@@ -379,7 +380,7 @@ DO i = 1, 10
 ENDDO
 END`)
 	g := Compute(p)
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Var == "a" {
 			t.Errorf("GCD should disprove: %v", d)
 		}
@@ -399,7 +400,7 @@ ENDDO
 END`)
 	g := Compute(p)
 	found := false
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Var == "a" && d.Carried {
 			found = true
 		}
@@ -549,7 +550,7 @@ END`)
 		t.Errorf("level = %d, want 2", carried[0].Level)
 	}
 	want := Vector{DirEQ, DirLT}
-	if !vecEqual(carried[0].Vec, want) {
+	if !slices.Equal(carried[0].Vec, want) {
 		t.Errorf("vec = %v, want %v", carried[0].Vec, want)
 	}
 }
@@ -557,7 +558,7 @@ END`)
 func TestSelfOutputOnScalarAssignOutsideLoop(t *testing.T) {
 	p := frontend.MustParse("PROGRAM p\nINTEGER x\nx = 1\nEND")
 	g := Compute(p)
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Kind == Output {
 			t.Errorf("no output dep expected: %v", d)
 		}
@@ -600,7 +601,7 @@ END`)
 		}
 	}
 	if !found {
-		t.Fatalf("cross-loop array flow dep missing: %v", g.Deps)
+		t.Fatalf("cross-loop array flow dep missing: %v", g.Deps())
 	}
 	_ = ir.Loops(p)
 }

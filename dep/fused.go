@@ -17,7 +17,7 @@ func FusedDirections(p *ir.Program, s, t *ir.Stmt, l1, l2 ir.Loop) DirSet {
 	var result DirSet
 
 	// Virtual common loop: l1's LCV at level 0; l2's LCV renamed to it.
-	lcvAt := map[string]int{l1.LCV(): 0}
+	nest := newLoopNest([]ir.Loop{l1}, nil, nil)
 	rename := func(e ir.LinExpr) ir.LinExpr {
 		if l2.LCV() == l1.LCV() {
 			return e
@@ -25,8 +25,8 @@ func FusedDirections(p *ir.Program, s, t *ir.Stmt, l1, l2 ir.Loop) DirSet {
 		return e.Subst(l2.LCV(), ir.VarExpr(l1.LCV()))
 	}
 
-	sAcc := accessesOf(s)
-	tAcc := accessesOf(t)
+	sAcc := appendAccesses(nil, s)
+	tAcc := appendAccesses(nil, t)
 	for _, a := range sAcc {
 		for _, b := range tAcc {
 			if a.op.Name != b.op.Name {
@@ -37,13 +37,12 @@ func FusedDirections(p *ir.Program, s, t *ir.Stmt, l1, l2 ir.Loop) DirSet {
 			}
 			dirs := []DirSet{DirAny}
 			feasible := true
-			bounds := loopBounds([]ir.Loop{l1}, lcvAt)
 			dims := len(a.op.Subs)
 			if len(b.op.Subs) < dims {
 				dims = len(b.op.Subs)
 			}
 			for d := 0; d < dims && feasible; d++ {
-				feasible = constrainDim(a.op.Subs[d], rename(b.op.Subs[d]), lcvAt, bounds, dirs)
+				feasible = constrainDim(a.op.Subs[d], rename(b.op.Subs[d]), &nest, dirs)
 			}
 			if feasible {
 				result |= dirs[0]
@@ -66,25 +65,6 @@ func FusedDirections(p *ir.Program, s, t *ir.Stmt, l1, l2 ir.Loop) DirSet {
 		}
 	}
 	return result
-}
-
-// accessesOf returns the array accesses of one statement.
-func accessesOf(s *ir.Stmt) []access {
-	var out []access
-	if (s.Kind == ir.SAssign || s.Kind == ir.SRead) && s.Dst.IsArray() {
-		out = append(out, access{stmt: s, op: s.Dst, isWrite: true, pos: 1})
-	}
-	for slot := 1; slot <= 3+len(s.Args); slot++ {
-		opp := s.OperandSlot(slot)
-		if opp == nil || !opp.IsArray() {
-			continue
-		}
-		if (s.Kind == ir.SAssign || s.Kind == ir.SRead) && slot == 1 {
-			continue
-		}
-		out = append(out, access{stmt: s, op: *opp, isWrite: false, pos: slot})
-	}
-	return out
 }
 
 // scalarAccesses returns the scalar names written and read by s. Loop

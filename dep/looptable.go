@@ -1,6 +1,10 @@
 package dep
 
-import "repro/ir"
+import (
+	"slices"
+
+	"repro/ir"
+)
 
 // loopTable caches the loop and control nesting of every statement of one
 // program snapshot, built with two linear scans. It replaces the per-pair
@@ -13,34 +17,46 @@ type loopTable struct {
 	// ctrlHeads[i] lists the SIf/SDoHead statements whose region strictly
 	// contains statement i, outermost first.
 	ctrlHeads [][]*ir.Stmt
+
+	// Backing arrays a rebuild reuses: the per-statement lists slice
+	// loopBuf and ctrlBuf, and end holds each DO head's ENDDO.
+	loopBuf []ir.Loop
+	ctrlBuf []*ir.Stmt
+	end     []*ir.Stmt
 }
 
-func buildLoopTable(p *ir.Program) *loopTable {
-	n := p.Len()
-	t := &loopTable{
-		enclosing: make([][]ir.Loop, n),
-		ctrlHeads: make([][]*ir.Stmt, n),
+// buildLoopTable builds p's loop table, reusing t's storage when t is not
+// nil. The tables a previous build returned are overwritten.
+func buildLoopTable(p *ir.Program, t *loopTable) *loopTable {
+	if t == nil {
+		t = &loopTable{}
 	}
+	n := p.Len()
+	t.enclosing = slices.Grow(t.enclosing[:0], n)[:n]
+	t.ctrlHeads = slices.Grow(t.ctrlHeads[:0], n)[:n]
+	t.end = slices.Grow(t.end[:0], n)[:n]
+	clear(t.end)
+	t.loopBuf, t.ctrlBuf = t.loopBuf[:0], t.ctrlBuf[:0]
 
 	// Pass 1: match every DO head with its ENDDO.
-	ends := make(map[*ir.Stmt]*ir.Stmt)
-	var headStack []*ir.Stmt
+	var headStack []int
 	for i := 0; i < n; i++ {
-		s := p.At(i)
-		switch s.Kind {
+		switch p.At(i).Kind {
 		case ir.SDoHead:
-			headStack = append(headStack, s)
+			headStack = append(headStack, i)
 		case ir.SDoEnd:
-			if len(headStack) > 0 {
-				ends[headStack[len(headStack)-1]] = s
-				headStack = headStack[:len(headStack)-1]
+			if k := len(headStack); k > 0 {
+				t.end[headStack[k-1]] = p.At(i)
+				headStack = headStack[:k-1]
 			}
 		}
 	}
 
 	// Pass 2: record the open loop and control stacks at each statement.
 	// A head/end statement is not inside its own region, matching
-	// ir.EnclosingLoops and the control-dependence rule.
+	// ir.EnclosingLoops and the control-dependence rule. A list that
+	// outgrows the buffer leaves the earlier lists on the old backing
+	// array, where their contents stay valid.
 	var loops []ir.Loop
 	var ctrl []*ir.Stmt
 	for i := 0; i < n; i++ {
@@ -58,11 +74,15 @@ func buildLoopTable(p *ir.Program) *loopTable {
 				ctrl = ctrl[:len(ctrl)-1]
 			}
 		}
-		t.enclosing[i] = append([]ir.Loop(nil), loops...)
-		t.ctrlHeads[i] = append([]*ir.Stmt(nil), ctrl...)
+		lo := len(t.loopBuf)
+		t.loopBuf = append(t.loopBuf, loops...)
+		t.enclosing[i] = t.loopBuf[lo:len(t.loopBuf):len(t.loopBuf)]
+		lo = len(t.ctrlBuf)
+		t.ctrlBuf = append(t.ctrlBuf, ctrl...)
+		t.ctrlHeads[i] = t.ctrlBuf[lo:len(t.ctrlBuf):len(t.ctrlBuf)]
 		switch s.Kind {
 		case ir.SDoHead:
-			if end, ok := ends[s]; ok {
+			if end := t.end[i]; end != nil {
 				loops = append(loops, ir.Loop{Head: s, End: end})
 				ctrl = append(ctrl, s)
 			}

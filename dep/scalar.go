@@ -10,15 +10,15 @@ import (
 // loop-independent (present on the forward-only graph) and/or loop-carried
 // at level k (the fact survives one iteration of common loop k and the sink
 // access is exposed from that loop's body entry). The analysis may be
-// name-restricted (dataflow.AnalyzeNames): only dependences among its
-// collected defs/uses are produced, which is how incremental updates rebuild
-// just the dirty names.
+// name-restricted (dataflow.Workspace.AnalyzeNames): only dependences among
+// its collected defs/uses are produced, which is how incremental updates
+// rebuild just the dirty names.
 //
 // With workers > 1 the pair loops fan out over the pool: the analysis is
 // shared read-only, each shard strides the outer access index and buffers
 // its edges privately, and the buffers merge through g.add in shard order.
 // Every edge is emitted in exactly one outer iteration, so the shards emit
-// disjoint edge sets and normalize erases the merge order.
+// disjoint edge sets and the canonical layout erases the merge order.
 func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
 	if g.workers > 1 {
 		shards := g.workers

@@ -55,8 +55,8 @@ func TestStatsLookupClassification(t *testing.T) {
 	}
 	// The kind index bounds each walk: no query may examine more edges than
 	// the graph holds, and every examined edge is classified exactly once.
-	if total := st.ScalarLookups + st.ArrayLookups + st.ControlLookups; total > 2*int64(len(g.Deps)) {
-		t.Errorf("lookup total %d exceeds two index walks over %d deps: %+v", total, len(g.Deps), st)
+	if total := st.ScalarLookups + st.ArrayLookups + st.ControlLookups; total > 2*int64(len(g.Deps())) {
+		t.Errorf("lookup total %d exceeds two index walks over %d deps: %+v", total, len(g.Deps()), st)
 	}
 
 	// Exists counts the edges it examines too (it may stop early; it must

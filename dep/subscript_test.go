@@ -22,7 +22,7 @@ DO i = 1, 10
 ENDDO
 END`)
 	g := Compute(p)
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Var == "a" {
 			t.Errorf("Banerjee should disprove: %v", d)
 		}
@@ -40,13 +40,13 @@ ENDDO
 END`)
 	g := Compute(p)
 	found := false
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Var == "a" && d.Kind == Anti && d.Carried {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("in-range distance must stay dependent: %v", g.Deps)
+		t.Fatalf("in-range distance must stay dependent: %v", g.Deps())
 	}
 }
 
@@ -64,7 +64,7 @@ ENDDO
 END`)
 	g := Compute(p)
 	found := false
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Var == "a" {
 			found = true
 		}
@@ -87,7 +87,7 @@ ENDDO
 PRINT x
 END`)
 	g := Compute(p)
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Var == "a" {
 			t.Errorf("weak-zero SIV should disprove: %v", d)
 		}
@@ -108,13 +108,13 @@ PRINT x
 END`)
 	g := Compute(p)
 	found := false
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Var == "a" && d.Kind == Flow {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("a(2*i) does hit a(6): %v", g.Deps)
+		t.Fatalf("a(2*i) does hit a(6): %v", g.Deps())
 	}
 }
 
@@ -131,7 +131,7 @@ ENDDO
 PRINT x
 END`)
 	g := Compute(p)
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Var == "a" {
 			t.Errorf("out-of-range constant should disprove: %v", d)
 		}
@@ -169,13 +169,11 @@ DO i = 3, 9
   ENDDO
 ENDDO
 END`)
-	loops := ir.Loops(p)
-	lcvAt := map[string]int{"i": 0, "j": 1}
-	b := loopBounds(loops, lcvAt)
-	if got, ok := b[0]; !ok || got != [2]int64{3, 9} {
-		t.Errorf("bounds[i] = %v, %v", got, ok)
+	nest := newLoopNest(ir.Loops(p), nil, nil)
+	if got := nest.bounds[0]; got != (levelBounds{lo: 3, hi: 9, ok: true}) {
+		t.Errorf("bounds[i] = %+v", got)
 	}
-	if _, ok := b[1]; ok {
+	if nest.bounds[1].ok {
 		t.Error("variable-bound loop must have no extracted bounds")
 	}
 }
@@ -191,7 +189,7 @@ DO i = 10, 1, -1
 ENDDO
 END`)
 	g := Compute(p)
-	for _, d := range g.Deps {
+	for _, d := range g.Deps() {
 		if d.Var == "a" {
 			t.Errorf("Banerjee should disprove for downward loops too: %v", d)
 		}

@@ -1,6 +1,9 @@
 package dep
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/dataflow"
 	"repro/ir"
 )
@@ -22,12 +25,13 @@ import (
 // or rewriting cannot change the dataflow facts — and hence the scalar
 // dependences — of any other name. Re-analyzing the union of scalar names
 // accessed by the old and new images of every edited statement
-// (dataflow.AnalyzeNames) therefore reproduces exactly the scalar edges a
-// full recomputation would build for them. Third, an array edge is the
-// result of one pair test (testPair), which reads only the two accesses,
-// their common loops and their relative order. A non-structural edit
-// changes none of these for a pair neither of whose statements it edited,
-// so only array edges with an edited endpoint are dropped and re-tested.
+// (dataflow.Workspace.AnalyzeNames) therefore reproduces exactly the
+// scalar edges a full recomputation would build for them. Third, an array
+// edge is the result of one pair test (testPair), which reads only the two
+// accesses, their common loops and their relative order. A non-structural
+// edit changes none of these for a pair neither of whose statements it
+// edited, so only array edges with an edited endpoint are dropped and
+// re-tested.
 //
 // Per-primitive dirty rules (scalar edges by name, array edges by edited
 // statement, control edges by touched statement):
@@ -48,98 +52,289 @@ import (
 //	                   are unchanged
 //	kind change / LCV rename / insert, delete or move of any bracket
 //	statement / CopyFrom:  full recomputation
+//
+// The work is proportional to the edit, not to the graph. The dropped edges
+// are found through the per-name scalar index (dirty names) and the edited
+// statements' buckets (array and control edges, and every edge of a
+// deleted statement); only the buckets they sat in are filtered. The
+// survivors keep their canonical relative order: positions shift, but
+// every edge at an inserted, deleted or moved statement is dropped, and
+// the rest keep the order of their endpoints. The re-derived edges are
+// sorted among themselves and merged into the buckets they belong to.
 func (g *Graph) Update(changes []ir.Change) bool {
 	if len(changes) == 0 {
 		return true
 	}
 	p := g.Prog
-	dirty := make(map[string]bool)
-	edited := make(map[*ir.Stmt]bool)
-	touched := make(map[*ir.Stmt]bool)
-	moved := false
+	u := &g.up
+	u.reset(p.Len()+1, len(g.edges))
+	shifted := false
 	for _, c := range changes {
 		if structuralChange(c) {
 			g.stats.StructuralRebuilds++
 			g.recompute()
 			return false
 		}
-		edited[c.Stmt] = true
+		u.edited[c.Stmt] = true
 		switch c.Kind {
 		case ir.ChangeModify:
-			addScalarNames(dirty, c.Before)
-			addScalarNames(dirty, c.Stmt)
+			addScalarNames(u.dirty, c.Before)
+			addScalarNames(u.dirty, c.Stmt)
 			if c.Stmt.Kind == ir.SDoHead {
-				g.addLoopBody(dirty, edited, c.Stmt)
+				g.addLoopBody(u.dirty, u.edited, c.Stmt)
 			}
 		case ir.ChangeInsert, ir.ChangeMove, ir.ChangeDelete:
-			addScalarNames(dirty, c.Stmt)
-			touched[c.Stmt] = true
-			if c.Kind == ir.ChangeMove {
-				moved = true
-			}
+			addScalarNames(u.dirty, c.Stmt)
+			u.touched[c.Stmt] = true
+			shifted = true
 		}
 	}
 
 	// Drop every edge the edits can have invalidated: scalar edges on a
 	// dirty name, array edges with an edited endpoint, control edges onto a
-	// touched statement, and any edge with an endpoint no longer in the
-	// program.
-	kept := g.Deps[:0]
-	for _, d := range g.Deps {
-		switch {
-		case d.Kind == Control:
-			if touched[d.Dst] || p.Index(d.Src) < 0 || p.Index(d.Dst) < 0 {
-				continue
+	// touched statement, and every edge of a statement no longer in the
+	// program (remap drops those while re-slotting the buckets).
+	if shifted {
+		g.remap()
+	}
+	for name := range u.dirty {
+		if ids, ok := g.scalars[name]; ok {
+			for _, id := range ids {
+				g.kill(id)
 			}
-		case g.arrays[d.Var]:
-			if edited[d.Src] || edited[d.Dst] || p.Index(d.Src) < 0 || p.Index(d.Dst) < 0 {
-				continue
-			}
-		default:
-			if dirty[d.Var] {
-				continue
-			}
-			if (d.Src != g.Entry && p.Index(d.Src) < 0) || p.Index(d.Dst) < 0 {
-				continue
+			g.scalars[name] = ids[:0]
+		}
+	}
+	for s := range u.edited {
+		k := g.liveSlot(s)
+		if k < 0 {
+			continue
+		}
+		for _, id := range g.from[k] {
+			if g.class[id] == arrayEdge {
+				g.kill(id)
 			}
 		}
-		kept = append(kept, d)
+		for _, id := range g.to[k] {
+			if c := g.class[id]; c == arrayEdge || c == controlEdge && u.touched[s] {
+				g.kill(id)
+			}
+		}
 	}
-	g.Deps = kept
-	// The kept edges are a subsequence of the previous canonical order.
-	// Inserts and deletes shift positions but keep the survivors' relative
-	// order, so the prefix stays sorted and normalize can merge instead of
-	// re-sorting — unless a move reordered statements.
-	sortedPrefix := len(kept)
-	if moved {
-		sortedPrefix = 0
-	}
-	g.resetMaps()
-	for i, d := range g.Deps {
-		g.link(i, d)
-	}
+	g.sweep()
 	g.flow = nil // full dataflow is stale; Dataflow() recomputes on demand
 
 	// Rebuild the dirty region: scalar dependences of the dirty names, array
 	// dependences with an edited endpoint, and control dependences onto
 	// relocated or inserted statements.
-	lt := buildLoopTable(p)
-	if len(dirty) > 0 {
-		g.scalarDepsFrom(dataflow.AnalyzeNames(p, dirty), lt)
+	if shifted {
+		g.lt = buildLoopTable(p, g.lt)
 	}
-	g.arrayDeps(lt, edited)
-	for s := range touched {
+	if len(u.dirty) > 0 {
+		g.scalarDepsFrom(u.flow.AnalyzeNames(p, u.dirty), g.lt)
+	}
+	g.arrayDeps(g.lt, u.edited)
+	for s := range u.touched {
 		i := p.Index(s)
 		if i < 0 {
 			continue // deleted (or inserted then deleted)
 		}
-		for _, head := range lt.ctrlHeads[i] {
+		for _, head := range g.lt.ctrlHeads[i] {
 			g.add(Dependence{Kind: Control, Src: head, Dst: s})
 		}
 	}
-	g.normalizeFrom(sortedPrefix)
+	g.splice()
+	g.kindsOK = [numKinds]bool{}
 	g.stats.IncrementalUpdates++
 	return true
+}
+
+// updateScratch is the working state of one Update, kept on the graph so
+// its maps and slices are reused across calls.
+type updateScratch struct {
+	dirty   map[string]bool   // scalar names to re-derive
+	edited  map[*ir.Stmt]bool // statements whose array edges are re-tested
+	touched map[*ir.Stmt]bool // inserted, moved or deleted statements
+	swept   map[string]bool   // names whose index lists hold dropped IDs
+	dead    []bool            // by edge ID: dropped by this update
+	killed  []int32           // the dropped IDs
+	marks   []uint8           // by slot: fromMark | toMark once queued
+	sweep   []int32           // slots whose buckets hold dropped IDs
+	order   []int32           // sortPending's permutation
+	fresh   []int32           // IDs splice inserted
+	merged  []int32           // merge output buffer
+	from    [][]int32         // remap's spare bucket tables
+	to      [][]int32
+	flow    dataflow.Workspace // storage for the dirty names' analysis
+}
+
+const (
+	fromMark uint8 = 1 << iota
+	toMark
+)
+
+// reset readies the scratch for a program of slots statement slots and an
+// edge arena of edges IDs.
+func (u *updateScratch) reset(slots, edges int) {
+	if u.dirty == nil {
+		u.dirty = make(map[string]bool)
+		u.edited = make(map[*ir.Stmt]bool)
+		u.touched = make(map[*ir.Stmt]bool)
+		u.swept = make(map[string]bool)
+	}
+	clear(u.dirty)
+	clear(u.edited)
+	clear(u.touched)
+	clear(u.swept)
+	u.dead = slices.Grow(u.dead[:0], edges)[:edges]
+	u.marks = slices.Grow(u.marks[:0], slots)[:slots]
+	clear(u.marks)
+	u.killed, u.sweep = u.killed[:0], u.sweep[:0]
+}
+
+// kill drops edge id: it is marked dead and the buckets and name list
+// holding it are queued for sweep.
+func (g *Graph) kill(id int32) {
+	u := &g.up
+	if u.dead[id] {
+		return
+	}
+	u.dead[id] = true
+	u.killed = append(u.killed, id)
+	d := &g.edges[id]
+	g.queueSweep(g.liveSlot(d.Src), fromMark)
+	g.queueSweep(g.liveSlot(d.Dst), toMark)
+	if g.class[id] == scalarEdge && !u.dirty[d.Var] {
+		u.swept[d.Var] = true
+	}
+}
+
+func (g *Graph) queueSweep(slot int, mark uint8) {
+	u := &g.up
+	if slot < 0 || u.marks[slot]&mark != 0 {
+		return
+	}
+	if u.marks[slot] == 0 {
+		u.sweep = append(u.sweep, int32(slot))
+	}
+	u.marks[slot] |= mark
+}
+
+// sweep removes the killed IDs from the queued buckets and name lists and
+// recycles them.
+func (g *Graph) sweep() {
+	u := &g.up
+	live := func(ids []int32) []int32 {
+		out := ids[:0]
+		for _, id := range ids {
+			if !u.dead[id] {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	for _, k := range u.sweep {
+		if u.marks[k]&fromMark != 0 {
+			g.from[k] = live(g.from[k])
+		}
+		if u.marks[k]&toMark != 0 {
+			g.to[k] = live(g.to[k])
+		}
+	}
+	for name := range u.swept {
+		g.scalars[name] = live(g.scalars[name])
+	}
+	for _, id := range u.killed {
+		u.dead[id] = false
+		g.edges[id] = Dependence{}
+	}
+	g.free = append(g.free, u.killed...)
+}
+
+// remap re-slots the buckets after statements were inserted, deleted or
+// moved: each bucket follows its statement to its new position, an
+// inserted statement starts with empty buckets, and every edge of a
+// deleted statement is killed.
+func (g *Graph) remap() {
+	p := g.Prog
+	n := p.Len() + 1
+	from := slices.Grow(g.up.from[:0], n)[:n]
+	to := slices.Grow(g.up.to[:0], n)[:n]
+	clear(from)
+	clear(to)
+	from[0], to[0] = g.from[0], g.to[0]
+	for k, s := range g.stmts {
+		if i := p.Index(s); i >= 0 {
+			from[i+1], to[i+1] = g.from[k+1], g.to[k+1]
+			continue
+		}
+		for _, id := range g.from[k+1] {
+			g.kill(id)
+		}
+		for _, id := range g.to[k+1] {
+			g.kill(id)
+		}
+	}
+	// The old tables become the spares. Clearing them leaves every bucket
+	// referenced from exactly one table entry.
+	g.up.from, g.up.to = g.from[:cap(g.from)], g.to[:cap(g.to)]
+	clear(g.up.from)
+	clear(g.up.to)
+	g.from, g.to = from, to
+	g.stmts = append(g.stmts[:0], p.Stmts()...)
+}
+
+// splice lays the pending edges of an update into the buckets: each new
+// edge not already in the graph gets an ID, and the new IDs merge into
+// their source buckets, then into their destination buckets.
+func (g *Graph) splice() {
+	order := g.sortPending(func(a, b *Dependence) int {
+		return cmp.Or(cmp.Compare(g.pos(a.Src), g.pos(b.Src)), g.compare(a, b))
+	})
+	fresh := g.up.fresh[:0]
+	for _, i := range order {
+		d := &g.pending[i]
+		kept := g.from[g.slot(d.Src)]
+		if _, dup := slices.BinarySearchFunc(kept, d, func(id int32, d *Dependence) int {
+			return g.compare(&g.edges[id], d)
+		}); !dup {
+			fresh = append(fresh, g.insert(*d))
+		}
+	}
+	g.pending = g.pending[:0]
+	g.mergeRuns(g.from, fresh, func(d *Dependence) *ir.Stmt { return d.Src })
+	slices.SortFunc(fresh, func(x, y int32) int {
+		a, b := &g.edges[x], &g.edges[y]
+		return cmp.Or(cmp.Compare(g.pos(a.Dst), g.pos(b.Dst)), g.compare(a, b))
+	})
+	g.mergeRuns(g.to, fresh, func(d *Dependence) *ir.Stmt { return d.Dst })
+	g.up.fresh = fresh
+}
+
+// mergeRuns merges ids — grouped by the statement end picks, canonically
+// ordered within each group — into that statement's bucket.
+func (g *Graph) mergeRuns(buckets [][]int32, ids []int32, end func(*Dependence) *ir.Stmt) {
+	for lo := 0; lo < len(ids); {
+		s := end(&g.edges[ids[lo]])
+		hi := lo + 1
+		for hi < len(ids) && end(&g.edges[ids[hi]]) == s {
+			hi++
+		}
+		k := g.slot(s)
+		b, out := buckets[k], g.up.merged[:0]
+		i := 0
+		for _, id := range ids[lo:hi] {
+			for i < len(b) && g.compare(&g.edges[b[i]], &g.edges[id]) < 0 {
+				out = append(out, b[i])
+				i++
+			}
+			out = append(out, id)
+		}
+		out = append(out, b[i:]...)
+		buckets[k] = append(b[:0], out...)
+		g.up.merged = out
+		lo = hi
+	}
 }
 
 // structuralChange reports whether c can alter the CFG shape or loop

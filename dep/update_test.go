@@ -1,9 +1,11 @@
 package dep
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/frontend"
 	"repro/internal/proggen"
 	"repro/ir"
 )
@@ -251,10 +253,13 @@ func TestUpdateMatchesCompute(t *testing.T) {
 			g.SetWorkers(2)
 		}
 		r := rand.New(rand.NewSource(seed * 7919))
+		probe := rand.New(rand.NewSource(seed))
 		for step := 0; step < 40; step++ {
 			mutate(r, p)
 			g.Update(log.Changes())
+			deleted := deletedStmts(log.Changes())
 			log.Reset()
+			checkQueryParity(t, seed, step, g, deleted, probe)
 			want := Compute(p).String()
 			if got := g.String(); got != want {
 				t.Fatalf("seed %d step %d: incremental graph diverged\nprogram:\n%s\nincremental:\n%s\nfresh:\n%s",
@@ -342,4 +347,226 @@ func TestUndoRestoresProgram(t *testing.T) {
 			t.Fatalf("seed %d: journal not truncated to mark: len %d want %d", seed, log.Len(), mark)
 		}
 	}
+}
+
+// deletedStmts returns the statements a change batch deleted.
+func deletedStmts(changes []ir.Change) []*ir.Stmt {
+	var out []*ir.Stmt
+	for _, c := range changes {
+		if c.Kind == ir.ChangeDelete {
+			out = append(out, c.Stmt)
+		}
+	}
+	return out
+}
+
+// queryResult is one probe's answer and the lookup traffic it caused.
+type queryResult struct {
+	edges []Dependence
+	n     int
+	found bool
+	stats Stats
+}
+
+// checkQueryParity probes a maintained graph with Query, Count and Exists
+// in all four forms — exact, source-only, destination-only and kind-only —
+// over Entry, the statements the last update deleted and a few random
+// statements. Every answer and every Stats delta must equal both a fresh
+// Compute's and a brute-force scan's over the canonical edge list under
+// the documented candidate rules.
+func checkQueryParity(t *testing.T, seed int64, step int, g *Graph, deleted []*ir.Stmt, r *rand.Rand) {
+	t.Helper()
+	p := g.Prog
+	fresh := Compute(p)
+	canon := fresh.Deps()
+	arrays := map[string]bool{}
+	for _, s := range p.Stmts() {
+		for _, ac := range appendAccesses(nil, s) {
+			arrays[ac.op.Name] = true
+		}
+	}
+	probes := append([]*ir.Stmt{g.Entry}, deleted...)
+	for k := 0; k < 3 && p.Len() > 0; k++ {
+		probes = append(probes, p.At(r.Intn(p.Len())))
+	}
+	onFresh := func(s *ir.Stmt) *ir.Stmt {
+		if s == g.Entry {
+			return fresh.Entry
+		}
+		return s
+	}
+	patterns := []Vector{nil, {DirEQ}, {DirLT}, {DirAny, DirLT}}
+	ask := func(h *Graph, op string, kind Kind, src, dst *ir.Stmt, pat Vector) queryResult {
+		before := h.Stats()
+		var res queryResult
+		switch op {
+		case "Query":
+			res.edges = h.Query(kind, src, dst, pat)
+		case "Count":
+			res.n = h.Count(kind, src, dst, pat)
+		case "Exists":
+			res.found = h.Exists(kind, src, dst, pat)
+		}
+		res.stats = h.Stats().Sub(before)
+		return res
+	}
+	check := func(kind Kind, src, dst *ir.Stmt) {
+		pat := patterns[r.Intn(len(patterns))]
+		fs, fd := onFresh(src), onFresh(dst)
+		for _, op := range []string{"Query", "Count", "Exists"} {
+			got := ask(g, op, kind, src, dst, pat)
+			want := ask(fresh, op, kind, fs, fd, pat)
+			brute := bruteQuery(fresh, canon, arrays, op, kind, fs, fd, pat)
+			where := fmt.Sprintf("seed %d step %d: %s(%v, %s, %s, %v)", seed, step, op, kind, stmtName(g, src), stmtName(g, dst), pat)
+			if got.stats != want.stats || got.stats != brute.stats {
+				t.Fatalf("%s: lookups %+v, fresh %+v, brute force %+v", where, got.stats, want.stats, brute.stats)
+			}
+			if got.n != want.n || got.n != brute.n || got.found != want.found || got.found != brute.found {
+				t.Fatalf("%s: got %d/%t, fresh %d/%t, brute force %d/%t",
+					where, got.n, got.found, want.n, want.found, brute.n, brute.found)
+			}
+			if !sameEdges(g, got.edges, fresh, want.edges) || !sameEdges(fresh, want.edges, fresh, brute.edges) {
+				t.Fatalf("%s: got %v, fresh %v, brute force %v", where, got.edges, want.edges, brute.edges)
+			}
+		}
+	}
+	for kind := Flow; kind <= Control; kind++ {
+		check(kind, nil, nil)
+		for _, s := range probes {
+			check(kind, s, nil)
+			check(kind, nil, s)
+			for _, d := range probes {
+				check(kind, s, d)
+			}
+		}
+	}
+}
+
+// bruteQuery answers a query by scanning the canonical edge list: the
+// candidates are the edges an exact query's (kind, source slot,
+// destination slot) bucket, a one-sided query's statement bucket or a
+// kind-only query's kind holds, where a statement not in the program
+// shares Entry's slot. Exists stops at its first match.
+func bruteQuery(g *Graph, canon []Dependence, arrays map[string]bool, op string, kind Kind, src, dst *ir.Stmt, pat Vector) queryResult {
+	slot := func(s *ir.Stmt) int {
+		if s == g.Entry {
+			return 0
+		}
+		return g.Prog.Index(s) + 1
+	}
+	var res queryResult
+	for _, d := range canon {
+		var candidate bool
+		switch {
+		case src != nil && dst != nil:
+			candidate = d.Kind == kind && slot(d.Src) == slot(src) && slot(d.Dst) == slot(dst)
+		case src != nil:
+			candidate = slot(d.Src) == slot(src)
+		case dst != nil:
+			candidate = slot(d.Dst) == slot(dst)
+		default:
+			candidate = d.Kind == kind
+		}
+		if !candidate {
+			continue
+		}
+		switch {
+		case d.Kind == Control:
+			res.stats.ControlLookups++
+		case arrays[d.Var]:
+			res.stats.ArrayLookups++
+		default:
+			res.stats.ScalarLookups++
+		}
+		if d.Kind != kind || src != nil && d.Src != src || dst != nil && d.Dst != dst || !d.Vec.Matches(pat) {
+			continue
+		}
+		switch op {
+		case "Query":
+			res.edges = append(res.edges, d)
+		case "Count":
+			res.n++
+		case "Exists":
+			res.found = true
+			return res
+		}
+	}
+	return res
+}
+
+// sameEdges compares two edge lists field by field, identifying each
+// graph's Entry statement with the other's.
+func sameEdges(ga *Graph, a []Dependence, gb *Graph, b []Dependence) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	same := func(x, y *ir.Stmt) bool { return x == y || x == ga.Entry && y == gb.Entry }
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Kind != y.Kind || !same(x.Src, y.Src) || !same(x.Dst, y.Dst) || x.Var != y.Var ||
+			x.SrcPos != y.SrcPos || x.DstPos != y.DstPos || x.Level != y.Level ||
+			x.Carried != y.Carried || x.Vec.String() != y.Vec.String() {
+			return false
+		}
+	}
+	return true
+}
+
+func stmtName(g *Graph, s *ir.Stmt) string {
+	switch {
+	case s == nil:
+		return "nil"
+	case s == g.Entry:
+		return "Entry"
+	case g.Prog.Index(s) < 0:
+		return fmt.Sprintf("deleted S%d", s.ID)
+	}
+	return fmt.Sprintf("S%d", s.ID)
+}
+
+// TestComputeWorkersIdentical: a sharded build (workers = 2) yields the
+// graph a sequential one does — every edge field, canonical order and the
+// sort-time removal of duplicate edges included.
+func TestComputeWorkersIdentical(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		p := proggen.Generate(seed, proggen.Config{})
+		build := func(workers int) *Graph {
+			g := &Graph{Prog: p, Entry: &ir.Stmt{Kind: ir.SAssign}}
+			g.SetWorkers(workers)
+			g.recompute()
+			return g
+		}
+		one, two := build(1), build(2)
+		if a, b := one.Deps(), two.Deps(); !sameEdges(one, a, two, b) {
+			t.Fatalf("seed %d: workers 1 and 2 disagree\nworkers 1:\n%s\nworkers 2:\n%s", seed, one, two)
+		}
+	}
+}
+
+// TestUpdateReclassifiesNewArrayName: the frontend accepts a name used both
+// as a scalar and as an array. When an edit adds the first array access to
+// a name the graph already holds scalar edges on, lookups must count those
+// edges as array edges from then on, as a fresh Compute of the edited
+// program does.
+func TestUpdateReclassifiesNewArrayName(t *testing.T) {
+	p := frontend.MustParse(`
+PROGRAM t
+INTEGER x
+REAL a(10)
+a = 1
+x = a
+PRINT x
+END`)
+	log, _ := p.EnsureLog()
+	g := Compute(p)
+	store := &ir.Stmt{Kind: ir.SAssign, Op: ir.OpCopy, Dst: ir.ArrayOp("a", ir.ConstExpr(2)), A: ir.IntOp(5)}
+	p.InsertAt(p.Len()-1, store)
+	if !g.Update(log.Changes()) {
+		t.Fatal("inserting an array store fell back to a full recompute")
+	}
+	log.Reset()
+	if want := Compute(p).String(); g.String() != want {
+		t.Fatalf("graph diverged\ngot:\n%s\nwant:\n%s", g, want)
+	}
+	checkQueryParity(t, 0, 0, g, nil, rand.New(rand.NewSource(1)))
 }

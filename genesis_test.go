@@ -212,7 +212,7 @@ END`)
 func TestDependencesAccessor(t *testing.T) {
 	p, _ := ParseProgram("PROGRAM p\nINTEGER x, y\nx = 1\ny = x\nEND")
 	g := Dependences(p)
-	if len(g.Deps) == 0 {
+	if len(g.Deps()) == 0 {
 		t.Error("dependence graph empty")
 	}
 }

@@ -31,97 +31,144 @@ type Graph struct {
 }
 
 // Build constructs the CFG for p.
-func Build(p *ir.Program) *Graph { return build(p, true) }
+func Build(p *ir.Program) *Graph { return build(p, matchBrackets(p), true) }
 
-// BuildForward constructs the CFG without loop back edges (ENDDO → DO).
-// The resulting graph is acyclic; dataflow facts computed on it describe a
-// single iteration, which the dependence analyzer uses to separate
+// BuildBoth returns Build(p) and the forward-only CFG of p, sharing one
+// bracket match. The forward-only graph has no loop back edges (ENDDO →
+// DO): it is acyclic, and dataflow facts computed on it describe a single
+// iteration, which the dependence analyzer uses to separate
 // loop-independent from loop-carried dependences.
-func BuildForward(p *ir.Program) *Graph { return build(p, false) }
+func BuildBoth(p *ir.Program) (full, fwd *Graph) {
+	br := matchBrackets(p)
+	return build(p, br, true), build(p, br, false)
+}
 
-func build(p *ir.Program, withBackEdges bool) *Graph {
+// build constructs one CFG of p in a single pass over the statements; the
+// successor lists share one flat backing array.
+func build(p *ir.Program, br brackets, withBackEdges bool) *Graph {
 	n := p.Len()
-	g := &Graph{Prog: p, Succ: make([][]int, n), Pred: make([][]int, n)}
-	add := func(from, to int) {
-		if to < 0 || to >= n {
-			return
-		}
-		g.Succ[from] = append(g.Succ[from], to)
-		g.Pred[to] = append(g.Pred[to], from)
-	}
+	g := &Graph{Prog: p, Succ: make([][]int, n)}
+	buf := make([]int, 0, 2*n) // no statement has more than two successors
 	for i := 0; i < n; i++ {
-		s := p.At(i)
-		switch s.Kind {
+		start := len(buf)
+		add := func(to int) { buf = appendEdge(buf, start, to, n) }
+		switch p.At(i).Kind {
 		case ir.SDoHead:
-			end := ir.MatchingEnd(p, s)
-			add(i, i+1) // into the body (or directly to the ENDDO if empty)
-			if end != nil {
-				add(i, p.Index(end)+1) // zero-trip exit
+			add(i + 1) // into the body (or directly to the ENDDO if empty)
+			if end := br.partner[i]; end >= 0 {
+				add(int(end) + 1) // zero-trip exit
 			}
 		case ir.SDoEnd:
-			if withBackEdges {
-				if head := ir.MatchingHead(p, s); head != nil {
-					add(i, p.Index(head)) // back edge
-				}
-			} else {
+			if !withBackEdges {
 				// Forward-only view: the ENDDO falls through to the loop
 				// exit so one-iteration facts still flow past the loop.
-				add(i, i+1)
+				add(i + 1)
+			} else if head := br.partner[i]; head >= 0 {
+				add(int(head)) // back edge
 			}
 		case ir.SIf:
-			els, endif := ir.MatchingEndIf(p, s)
-			add(i, i+1) // THEN branch (or ELSE/ENDIF when empty)
-			switch {
-			case els != nil:
-				add(i, p.Index(els)+1)
-			case endif != nil:
-				add(i, p.Index(endif))
+			add(i + 1) // THEN branch (or ELSE/ENDIF when empty)
+			switch els, endif := br.els[i], br.partner[i]; {
+			case els >= 0:
+				add(int(els) + 1)
+			case endif >= 0:
+				add(int(endif))
 			}
 		case ir.SElse:
 			// Reaching the ELSE marker means the THEN branch finished;
 			// control jumps over the ELSE branch to the matching ENDIF.
-			if endif := matchingEndIfOfElse(p, s); endif != nil {
-				add(i, p.Index(endif))
+			if endif := br.partner[i]; endif >= 0 {
+				add(int(endif))
 			}
 		default:
-			add(i, i+1)
+			add(i + 1)
 		}
+		g.Succ[i] = buf[start:len(buf):len(buf)]
 	}
-	// Deduplicate edges (empty-body loops can produce duplicates).
-	for i := range g.Succ {
-		g.Succ[i] = dedup(g.Succ[i])
-		g.Pred[i] = dedup(g.Pred[i])
+	g.Pred = make([][]int, n)
+	for i, succ := range g.Succ {
+		for _, t := range succ {
+			g.Pred[t] = append(g.Pred[t], i)
+		}
 	}
 	return g
 }
 
-func dedup(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	out := xs[:0]
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
+// appendEdge appends edge target to to the successor run starting at
+// buf[start], unless it is out of range or already in the run (an
+// empty-body loop reaches its ENDDO and its exit through one edge).
+func appendEdge(buf []int, start, to, n int) []int {
+	if to < 0 || to >= n {
+		return buf
+	}
+	for _, t := range buf[start:] {
+		if t == to {
+			return buf
 		}
 	}
-	return out
+	return append(buf, to)
 }
 
-func matchingEndIfOfElse(p *ir.Program, els *ir.Stmt) *ir.Stmt {
-	depth := 0
-	for i := p.Index(els) + 1; i < p.Len(); i++ {
-		s := p.At(i)
-		switch s.Kind {
-		case ir.SIf:
-			depth++
-		case ir.SEndIf:
-			if depth == 0 {
-				return s
+// brackets records, per statement index, the bracket each DO/ENDDO/IF/ELSE
+// statement pairs with (-1 when unmatched): a DO head's ENDDO, an ENDDO's
+// DO head, an IF's ENDIF and an ELSE's ENDIF. els holds each IF's ELSE —
+// the last one at its own nesting level — or -1.
+type brackets struct {
+	partner []int32
+	els     []int32
+}
+
+// matchBrackets pairs the brackets of p in one pass with a DO stack and an
+// IF stack. DO and IF brackets nest independently, exactly like the
+// ir.MatchingEnd / ir.MatchingHead / ir.MatchingEndIf scans, and an ELSE
+// outside every IF pairs with the first ENDIF that closes no IF opened
+// after it.
+func matchBrackets(p *ir.Program) brackets {
+	n := p.Len()
+	buf := make([]int32, 2*n)
+	b := brackets{partner: buf[:n:n], els: buf[n:]}
+	for i := range buf {
+		buf[i] = -1
+	}
+	var dos, ifs, strays []int32
+	// owner[e] is the IF an ELSE at e belongs to; the ELSE takes that IF's
+	// ENDIF once it is known.
+	owner := map[int32]int32{}
+	for i := 0; i < n; i++ {
+		i32 := int32(i)
+		switch p.At(i).Kind {
+		case ir.SDoHead:
+			dos = append(dos, i32)
+		case ir.SDoEnd:
+			if k := len(dos); k > 0 {
+				b.partner[i], b.partner[dos[k-1]] = dos[k-1], i32
+				dos = dos[:k-1]
 			}
-			depth--
+		case ir.SIf:
+			ifs = append(ifs, i32)
+		case ir.SElse:
+			if k := len(ifs); k > 0 {
+				b.els[ifs[k-1]] = i32
+				owner[i32] = ifs[k-1]
+			} else {
+				strays = append(strays, i32)
+			}
+		case ir.SEndIf:
+			if k := len(ifs); k > 0 {
+				b.partner[ifs[k-1]] = i32
+				ifs = ifs[:k-1]
+			} else {
+				for _, e := range strays {
+					b.partner[e] = i32
+				}
+				strays = strays[:0]
+			}
 		}
 	}
-	return nil
+	for e, f := range owner {
+		b.partner[e] = b.partner[f]
+	}
+	return b
 }
 
 // Reachable returns the set of statement indices reachable from entry

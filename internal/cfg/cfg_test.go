@@ -1,6 +1,8 @@
 package cfg
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/frontend"
@@ -196,4 +198,95 @@ END
 		t.Error("inner zero-trip exit should reach outer ENDDO")
 	}
 	_ = ir.Loops(p)
+}
+
+// scanBuild is the bracket-scan construction BuildBoth replaces: one
+// ir.MatchingEnd / MatchingHead / MatchingEndIf scan per bracket and a
+// forward scan per ELSE. TestBuildBothMatchesScans holds the one-pass
+// builder to it.
+func scanBuild(p *ir.Program, withBackEdges bool) *Graph {
+	n := p.Len()
+	g := &Graph{Prog: p, Succ: make([][]int, n), Pred: make([][]int, n)}
+	add := func(from, to int) {
+		if to < 0 || to >= n || slices.Contains(g.Succ[from], to) {
+			return
+		}
+		g.Succ[from] = append(g.Succ[from], to)
+		g.Pred[to] = append(g.Pred[to], from)
+	}
+	elseEnd := func(els *ir.Stmt) *ir.Stmt {
+		depth := 0
+		for i := p.Index(els) + 1; i < n; i++ {
+			switch p.At(i).Kind {
+			case ir.SIf:
+				depth++
+			case ir.SEndIf:
+				if depth == 0 {
+					return p.At(i)
+				}
+				depth--
+			}
+		}
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		s := p.At(i)
+		switch s.Kind {
+		case ir.SDoHead:
+			add(i, i+1)
+			if end := ir.MatchingEnd(p, s); end != nil {
+				add(i, p.Index(end)+1)
+			}
+		case ir.SDoEnd:
+			if !withBackEdges {
+				add(i, i+1)
+			} else if head := ir.MatchingHead(p, s); head != nil {
+				add(i, p.Index(head))
+			}
+		case ir.SIf:
+			els, endif := ir.MatchingEndIf(p, s)
+			add(i, i+1)
+			switch {
+			case els != nil:
+				add(i, p.Index(els)+1)
+			case endif != nil:
+				add(i, p.Index(endif))
+			}
+		case ir.SElse:
+			if endif := elseEnd(s); endif != nil {
+				add(i, p.Index(endif))
+			}
+		default:
+			add(i, i+1)
+		}
+	}
+	return g
+}
+
+// TestBuildBothMatchesScans: the one-pass bracket matcher yields the same
+// successor and predecessor lists, order included, as per-bracket scans —
+// on random statement-kind sequences, so unbalanced and stray brackets
+// are covered along with well-formed nesting.
+func TestBuildBothMatchesScans(t *testing.T) {
+	kinds := []ir.StmtKind{ir.SAssign, ir.SDoHead, ir.SDoEnd, ir.SIf, ir.SElse, ir.SEndIf}
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		p := ir.NewProgram("random")
+		for n := r.Intn(24); n > 0; n-- {
+			p.Append(&ir.Stmt{Kind: kinds[r.Intn(len(kinds))]})
+		}
+		full, fwd := BuildBoth(p)
+		for _, c := range []struct {
+			got           *Graph
+			withBackEdges bool
+		}{{full, true}, {fwd, false}} {
+			want := scanBuild(p, c.withBackEdges)
+			for i := range want.Succ {
+				if !slices.Equal(c.got.Succ[i], want.Succ[i]) || !slices.Equal(c.got.Pred[i], want.Pred[i]) {
+					t.Fatalf("trial %d back edges %t: node %d succ %v pred %v, want succ %v pred %v\n%s",
+						trial, c.withBackEdges, i, c.got.Succ[i], c.got.Pred[i], want.Succ[i], want.Pred[i], p)
+				}
+			}
+		}
+	}
 }

@@ -6,6 +6,8 @@
 // on first use.
 package dataflow
 
+import "math/bits"
+
 // BitSet is a fixed-capacity bit vector.
 type BitSet struct {
 	words []uint64
@@ -78,9 +80,7 @@ func (b BitSet) Equal(o BitSet) bool {
 func (b BitSet) Count() int {
 	c := 0
 	for _, w := range b.words {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -88,20 +88,8 @@ func (b BitSet) Count() int {
 // ForEach calls f for every member in ascending order.
 func (b BitSet) ForEach(f func(i int)) {
 	for wi, w := range b.words {
-		for w != 0 {
-			bit := w & (-w)
-			i := wi*64 + trailingZeros(bit)
-			f(i)
-			w &^= bit
+		for ; w != 0; w &= w - 1 {
+			f(wi*64 + bits.TrailingZeros64(w))
 		}
 	}
-}
-
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
 }

@@ -1,6 +1,9 @@
 package dataflow
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/cfg"
@@ -37,8 +40,11 @@ type Analysis struct {
 	Defs   []Def
 	Uses   []Use
 
-	defsAt map[int][]int
-	usesAt map[int][]int
+	// defStart[i] / useStart[i] index the first of statement i's entries in
+	// Defs / Uses: both are collected in statement order, so statement i
+	// owns Defs[defStart[i]:defStart[i+1]].
+	defStart []int
+	useStart []int
 
 	// ReachIn[i] = definitions reaching the entry of statement i (full CFG).
 	ReachIn []BitSet
@@ -72,61 +78,127 @@ type Analysis struct {
 // Analyze runs the reaching-definition and exposed-use analyses on a
 // snapshot of p. Liveness is not part of it: LiveOutOf computes it on first
 // use.
-func Analyze(p *ir.Program) *Analysis { return analyze(p, nil) }
+func Analyze(p *ir.Program) *Analysis { return new(Workspace).analyze(p, nil) }
 
-// AnalyzeNames runs the same analyses restricted to the definitions and uses
-// of the given location names. Because gen/kill sets only interact within a
-// single name (a definition of x kills only facts about x), the restricted
-// facts for those names are identical to the corresponding slice of a full
-// Analyze — at a fraction of the cost. The incremental dependence updater
-// uses this to re-derive only the dependences of names an edit touched.
-// AnalyzeNames never computes liveness; LiveOutOf on a name-filtered
-// analysis would see only the filtered names and should not be consulted.
-func AnalyzeNames(p *ir.Program, names map[string]bool) *Analysis {
-	return analyze(p, names)
+// Workspace is reusable storage for name-restricted analyses. Successive
+// AnalyzeNames calls through one Workspace reuse its site lists and fact
+// buffers, and reuse its CFGs while the program's statement kinds are
+// unchanged — the CFG depends on nothing else — so a steady stream of
+// analyses allocates nothing. The Analysis a call returns is valid until
+// the Workspace's next call. A Workspace is not safe for concurrent use.
+type Workspace struct {
+	a      *Analysis
+	prog   *ir.Program
+	kinds  []ir.StmtKind // the kind sequence a.Graph and a.FGraph were built for
+	words  []uint64      // every fact family's bits
+	sets   []BitSet      // every fact family's per-statement headers
+	sorted []int         // scalar definitions ordered by name
 }
 
-func analyze(p *ir.Program, names map[string]bool) *Analysis {
-	a := &Analysis{
-		Graph:  cfg.Build(p),
-		FGraph: cfg.BuildForward(p),
-		defsAt: make(map[int][]int),
-		usesAt: make(map[int][]int),
+// AnalyzeNames runs Analyze's analyses restricted to the definitions and
+// uses of the given location names. Because gen/kill sets only interact
+// within a single name (a definition of x kills only facts about x), the
+// restricted facts for those names are identical to the corresponding
+// slice of a full Analyze. Each fact family is one bit per restricted site
+// and statement, so the solvers' work shrinks with the name set. The
+// incremental dependence updater uses this to re-derive only the
+// dependences of names an edit touched. AnalyzeNames never computes
+// liveness; LiveOutOf on a name-filtered analysis would see only the
+// filtered names and should not be consulted.
+func (w *Workspace) AnalyzeNames(p *ir.Program, names map[string]bool) *Analysis {
+	return w.analyze(p, names)
+}
+
+func (w *Workspace) analyze(p *ir.Program, names map[string]bool) *Analysis {
+	if w.a == nil {
+		w.a = &Analysis{}
+	}
+	a := w.a
+	if !w.sameShape(p) {
+		a.Graph, a.FGraph = cfg.BuildBoth(p)
 	}
 	a.collect(p, names)
+	n, nd, nu := p.Len(), len(a.Defs), len(a.Uses)
 
-	dGen, dKill := a.defGenKill(p)
-	uGen, uKill := a.useGenKill(p)
+	// Twelve families of n sets: six over the definitions, six over the
+	// uses, carved from one word buffer and one header buffer.
+	wd, wu := (nd+63)/64, (nu+63)/64
+	words := slices.Grow(w.words[:0], 6*n*(wd+wu))[:6*n*(wd+wu)]
+	clear(words)
+	sets := slices.Grow(w.sets[:0], 12*n)[:12*n]
+	w.words, w.sets = words, sets
+	family := func(domain int) []BitSet {
+		fam := sets[:n:n]
+		sets = sets[n:]
+		k := (domain + 63) / 64
+		for i := range fam {
+			fam[i] = BitSet{words: words[:k:k], n: domain}
+			words = words[k:]
+		}
+		return fam
+	}
+	dGen, dKill, dTmp := family(nd), family(nd), family(nd)
+	uGen, uKill, uTmp := family(nu), family(nu), family(nu)
+	w.genKill(a, dGen, dKill, uGen, uKill)
 
-	a.ReachIn = solveForward(a.Graph, dGen, dKill, len(a.Defs))
-	a.ReachInF = solveForward(a.FGraph, dGen, dKill, len(a.Defs))
-	a.UseReachIn = solveForward(a.Graph, uGen, uKill, len(a.Uses))
-	a.UseReachInF = solveForward(a.FGraph, uGen, uKill, len(a.Uses))
-	a.ExposedUses = solveBackward(a.FGraph, uGen, uKill, len(a.Uses))
-	a.ExposedDefs = solveBackward(a.FGraph, dGen, dKill, len(a.Defs))
-	if p.Len() > 0 {
-		full := solveBackward(a.Graph, uGen, uKill, len(a.Uses))
-		a.UpwardExposed = full[0]
+	// tmp is the forward solvers' OUT scratch, shared across the solves of
+	// one domain.
+	a.ReachIn = solveForward(a.Graph, dGen, dKill, family(nd), dTmp)
+	a.ReachInF = solveForward(a.FGraph, dGen, dKill, family(nd), dTmp)
+	a.UseReachIn = solveForward(a.Graph, uGen, uKill, family(nu), uTmp)
+	a.UseReachInF = solveForward(a.FGraph, uGen, uKill, family(nu), uTmp)
+	a.ExposedUses = solveBackward(a.FGraph, uGen, uKill, family(nu))
+	a.ExposedDefs = solveBackward(a.FGraph, dGen, dKill, family(nd))
+	if n > 0 {
+		a.UpwardExposed = solveBackward(a.Graph, uGen, uKill, uTmp)[0]
 	} else {
 		a.UpwardExposed = NewBitSet(0)
 	}
 	return a
 }
 
+// sameShape reports whether w's CFGs were built for p with the current
+// statement kinds, recording p's kinds when they were not.
+func (w *Workspace) sameShape(p *ir.Program) bool {
+	same := w.prog == p && len(w.kinds) == p.Len()
+	for i, s := range p.Stmts() {
+		if same && w.kinds[i] != s.Kind {
+			same = false
+		}
+	}
+	if !same {
+		w.prog = p
+		w.kinds = w.kinds[:0]
+		for _, s := range p.Stmts() {
+			w.kinds = append(w.kinds, s.Kind)
+		}
+	}
+	return same
+}
+
 func (a *Analysis) collect(p *ir.Program, names map[string]bool) {
+	n := p.Len()
+	a.Defs, a.Uses = a.Defs[:0], a.Uses[:0]
+	a.defStart = slices.Grow(a.defStart[:0], n+1)[:n+1]
+	a.useStart = slices.Grow(a.useStart[:0], n+1)[:n+1]
 	keep := func(name string) bool { return names == nil || names[name] }
-	for i := 0; i < p.Len(); i++ {
+	for i := 0; i < n; i++ {
+		a.defStart[i], a.useStart[i] = len(a.Defs), len(a.Uses)
 		s := p.At(i)
 		if d, ok := s.Defs(); ok && keep(d.Name) {
-			a.defsAt[i] = append(a.defsAt[i], len(a.Defs))
 			a.Defs = append(a.Defs, Def{StmtIdx: i, Name: d.Name, IsArray: d.IsArray()})
 		}
 		addUse := func(name string, isArray bool, pos int) {
-			if !keep(name) {
-				return
+			if keep(name) {
+				a.Uses = append(a.Uses, Use{StmtIdx: i, Name: name, IsArray: isArray, Pos: pos})
 			}
-			a.usesAt[i] = append(a.usesAt[i], len(a.Uses))
-			a.Uses = append(a.Uses, Use{StmtIdx: i, Name: name, IsArray: isArray, Pos: pos})
+		}
+		subscripts := func(subs []ir.LinExpr) {
+			for _, sub := range subs {
+				for _, t := range sub.Terms {
+					addUse(t.Var, false, 0)
+				}
+			}
 		}
 		record := func(op ir.Operand, pos int) {
 			switch op.Kind {
@@ -134,11 +206,7 @@ func (a *Analysis) collect(p *ir.Program, names map[string]bool) {
 				addUse(op.Name, false, pos)
 			case ir.ArrayRef:
 				addUse(op.Name, true, pos)
-				for _, sub := range op.Subs {
-					for _, v := range sub.Vars() {
-						addUse(v, false, 0)
-					}
-				}
+				subscripts(op.Subs)
 			}
 		}
 		switch s.Kind {
@@ -161,90 +229,87 @@ func (a *Analysis) collect(p *ir.Program, names map[string]bool) {
 		}
 		// Subscript reads of an array destination.
 		if (s.Kind == ir.SAssign || s.Kind == ir.SRead) && s.Dst.IsArray() {
-			for _, sub := range s.Dst.Subs {
-				for _, v := range sub.Vars() {
-					addUse(v, false, 0)
-				}
-			}
+			subscripts(s.Dst.Subs)
 		}
 	}
+	a.defStart[n], a.useStart[n] = len(a.Defs), len(a.Uses)
 }
 
-func (a *Analysis) defGenKill(p *ir.Program) (gen, kill []BitSet) {
-	n := p.Len()
-	nd := len(a.Defs)
-	gen = makeSets(n, nd)
-	kill = makeSets(n, nd)
+// genKill fills the gen and kill sets of both site families. A scalar
+// definition of x kills every other definition of x, and stops the
+// propagation of every use of x outside its own statement; array element
+// stores are may-definitions and kill nothing. The scalar definitions are
+// sorted by name first, so the work is the sum of the squared per-name
+// site counts.
+func (w *Workspace) genKill(a *Analysis, dGen, dKill, uGen, uKill []BitSet) {
+	sorted := w.sorted[:0]
 	for di, d := range a.Defs {
-		gen[d.StmtIdx].Set(di)
-		if d.IsArray {
-			continue // may-def: kills nothing
-		}
-		for dj, e := range a.Defs {
-			if dj != di && !e.IsArray && e.Name == d.Name {
-				kill[d.StmtIdx].Set(dj)
-			}
+		dGen[d.StmtIdx].Set(di)
+		if !d.IsArray {
+			sorted = append(sorted, di)
 		}
 	}
-	return gen, kill
-}
-
-func (a *Analysis) useGenKill(p *ir.Program) (gen, kill []BitSet) {
-	n := p.Len()
-	nu := len(a.Uses)
-	gen = makeSets(n, nu)
-	kill = makeSets(n, nu)
-	for ui, u := range a.Uses {
-		gen[u.StmtIdx].Set(ui)
+	w.sorted = sorted
+	slices.SortFunc(sorted, func(x, y int) int {
+		return cmp.Or(strings.Compare(a.Defs[x].Name, a.Defs[y].Name), cmp.Compare(x, y))
+	})
+	// named returns the run of sorted holding the definitions of name.
+	named := func(name string) []int {
+		lo, _ := slices.BinarySearchFunc(sorted, name, func(di int, name string) int {
+			return strings.Compare(a.Defs[di].Name, name)
+		})
+		hi := lo
+		for hi < len(sorted) && a.Defs[sorted[hi]].Name == name {
+			hi++
+		}
+		return sorted[lo:hi]
 	}
-	// A scalar definition of x stops propagation of uses of x.
-	for i := 0; i < n; i++ {
-		for _, di := range a.defsAt[i] {
-			d := a.Defs[di]
-			if d.IsArray {
-				continue
-			}
-			for ui, u := range a.Uses {
-				if !u.IsArray && u.Name == d.Name && u.StmtIdx != i {
-					kill[i].Set(ui)
+	for lo := 0; lo < len(sorted); {
+		run := named(a.Defs[sorted[lo]].Name)
+		for _, di := range run {
+			for _, dj := range run {
+				if dj != di {
+					dKill[a.Defs[di].StmtIdx].Set(dj)
 				}
 			}
 		}
+		lo += len(run)
 	}
-	return gen, kill
-}
-
-func makeSets(n, domain int) []BitSet {
-	out := make([]BitSet, n)
-	for i := range out {
-		out[i] = NewBitSet(domain)
+	for ui, u := range a.Uses {
+		uGen[u.StmtIdx].Set(ui)
+		if u.IsArray {
+			continue
+		}
+		for _, di := range named(u.Name) {
+			if i := a.Defs[di].StmtIdx; i != u.StmtIdx {
+				uKill[i].Set(ui)
+			}
+		}
 	}
-	return out
 }
 
 // solveForward computes IN[i] = ∪_{p ∈ pred(i)} OUT[p] with
-// OUT[i] = gen[i] ∪ (IN[i] − kill[i]), returning IN.
-func solveForward(g *cfg.Graph, gen, kill []BitSet, domain int) []BitSet {
-	n := len(g.Succ)
-	in := makeSets(n, domain)
-	out := make([]BitSet, n)
-	for i := 0; i < n; i++ {
-		out[i] = gen[i].Copy()
+// OUT[i] = gen[i] ∪ (IN[i] − kill[i]) into the empty sets in, using out as
+// scratch, and returns in. It updates the sets word by word in place and
+// allocates nothing.
+func solveForward(g *cfg.Graph, gen, kill, in, out []BitSet) []BitSet {
+	for i := range out {
+		copy(out[i].words, gen[i].words)
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := 0; i < n; i++ {
+		for i := range in {
 			for _, pi := range g.Pred[i] {
 				if in[i].OrInto(out[pi]) {
 					changed = true
 				}
 			}
-			next := in[i].Copy()
-			next.AndNotInto(kill[i])
-			next.OrInto(gen[i])
-			if !next.Equal(out[i]) {
-				out[i] = next
-				changed = true
+			iw, gw, kw, ow := in[i].words, gen[i].words, kill[i].words, out[i].words
+			for w := range ow {
+				if v := gw[w] | iw[w]&^kw[w]; v != ow[w] {
+					ow[w] = v
+					changed = true
+				}
 			}
 		}
 	}
@@ -252,26 +317,26 @@ func solveForward(g *cfg.Graph, gen, kill []BitSet, domain int) []BitSet {
 }
 
 // solveBackward computes EXPOSED[i] = gen[i] ∪ ((∪_{s ∈ succ(i)} EXPOSED[s])
-// − kill[i]): the facts reachable from i along paths on which i's kills
-// apply first.
-func solveBackward(g *cfg.Graph, gen, kill []BitSet, domain int) []BitSet {
-	n := len(g.Succ)
-	exp := make([]BitSet, n)
-	for i := 0; i < n; i++ {
-		exp[i] = gen[i].Copy()
+// − kill[i]) into the empty sets exp and returns them: the facts reachable
+// from i along paths on which i's kills apply first. Like solveForward it
+// works word by word in place.
+func solveBackward(g *cfg.Graph, gen, kill, exp []BitSet) []BitSet {
+	for i := range exp {
+		copy(exp[i].words, gen[i].words)
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := n - 1; i >= 0; i-- {
-			acc := NewBitSet(domain)
-			for _, si := range g.Succ[i] {
-				acc.OrInto(exp[si])
-			}
-			acc.AndNotInto(kill[i])
-			acc.OrInto(gen[i])
-			if !acc.Equal(exp[i]) {
-				exp[i] = acc
-				changed = true
+		for i := len(exp) - 1; i >= 0; i-- {
+			gw, kw, ew := gen[i].words, kill[i].words, exp[i].words
+			for w := range ew {
+				var acc uint64
+				for _, si := range g.Succ[i] {
+					acc |= exp[si].words[w]
+				}
+				if v := gw[w] | acc&^kw[w]; v != ew[w] {
+					ew[w] = v
+					changed = true
+				}
 			}
 		}
 	}
@@ -279,28 +344,10 @@ func solveBackward(g *cfg.Graph, gen, kill []BitSet, domain int) []BitSet {
 }
 
 // DefsAt returns the definitions made by statement i.
-func (a *Analysis) DefsAt(i int) []Def {
-	out := make([]Def, 0, len(a.defsAt[i]))
-	for _, di := range a.defsAt[i] {
-		out = append(out, a.Defs[di])
-	}
-	return out
-}
+func (a *Analysis) DefsAt(i int) []Def { return a.Defs[a.defStart[i]:a.defStart[i+1]] }
 
 // UsesAt returns the uses made by statement i.
-func (a *Analysis) UsesAt(i int) []Use {
-	out := make([]Use, 0, len(a.usesAt[i]))
-	for _, ui := range a.usesAt[i] {
-		out = append(out, a.Uses[ui])
-	}
-	return out
-}
-
-// DefIdxsAt returns indices into Defs for statement i.
-func (a *Analysis) DefIdxsAt(i int) []int { return a.defsAt[i] }
-
-// UseIdxsAt returns indices into Uses for statement i.
-func (a *Analysis) UseIdxsAt(i int) []int { return a.usesAt[i] }
+func (a *Analysis) UsesAt(i int) []Use { return a.Uses[a.useStart[i]:a.useStart[i+1]] }
 
 func (a *Analysis) liveness() {
 	n := len(a.Graph.Succ)

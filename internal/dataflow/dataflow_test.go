@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -398,7 +400,7 @@ func TestLivenessOnDemand(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		p := proggen.Generate(seed, proggen.Config{MaxStmts: 40})
 		a := Analyze(p)
-		if an := AnalyzeNames(p, map[string]bool{"n": true}); a.liveOut != nil || an.liveOut != nil {
+		if an := new(Workspace).AnalyzeNames(p, map[string]bool{"n": true}); a.liveOut != nil || an.liveOut != nil {
 			t.Fatalf("seed %d: liveness computed before any LiveOutOf call", seed)
 		}
 		// Edit the program after the analysis: liveness must still describe
@@ -445,4 +447,99 @@ func TestLivenessConcurrentFirstUse(t *testing.T) {
 	for name := range errs {
 		t.Errorf("concurrent LiveOutOf disagrees with a sequential analysis on %s", name)
 	}
+}
+
+// TestAnalyzeNamesIsRestriction is the property the incremental dependence
+// updater rests on: for any name set N, AnalyzeNames(p, N) equals the
+// N-restriction of Analyze(p). The restricted Defs and Uses are the full
+// lists filtered by name, in order; every one of the seven fact families
+// must agree bit for bit once restricted indices are mapped to full ones.
+func TestAnalyzeNamesIsRestriction(t *testing.T) {
+	// One Workspace serves every analysis: its buffers are reused across
+	// name sets and programs, and its CFGs across calls on one program
+	// until an insertion changes the statement kinds.
+	var ws Workspace
+	for seed := int64(1); seed <= 30; seed++ {
+		p := proggen.Generate(seed, proggen.Config{})
+		full := Analyze(p)
+		var all []string
+		seen := map[string]bool{}
+		for _, d := range full.Defs {
+			if !seen[d.Name] {
+				seen[d.Name] = true
+				all = append(all, d.Name)
+			}
+		}
+		for _, u := range full.Uses {
+			if !seen[u.Name] {
+				seen[u.Name] = true
+				all = append(all, u.Name)
+			}
+		}
+		sort.Strings(all)
+		r := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 6; trial++ {
+			names := map[string]bool{}
+			for _, name := range all {
+				if r.Intn(3) == 0 {
+					names[name] = true
+				}
+			}
+			checkRestriction(t, seed, p, full, new(Workspace).AnalyzeNames(p, names), names)
+			checkRestriction(t, seed, p, full, ws.AnalyzeNames(p, names), names)
+		}
+		// A straight-line insertion shifts every later CFG node.
+		p.InsertAt(0, &ir.Stmt{Kind: ir.SAssign, Op: ir.OpCopy, Dst: ir.VarOp(all[0]), A: ir.IntOp(1)})
+		names := map[string]bool{all[0]: true}
+		checkRestriction(t, seed, p, Analyze(p), ws.AnalyzeNames(p, names), names)
+	}
+}
+
+func checkRestriction(t *testing.T, seed int64, p *ir.Program, full, sub *Analysis, names map[string]bool) {
+	t.Helper()
+	var defMap, useMap []int // restricted index → full index
+	for fi, d := range full.Defs {
+		if names[d.Name] {
+			defMap = append(defMap, fi)
+		}
+	}
+	for fi, u := range full.Uses {
+		if names[u.Name] {
+			useMap = append(useMap, fi)
+		}
+	}
+	if len(defMap) != len(sub.Defs) || len(useMap) != len(sub.Uses) {
+		t.Fatalf("seed %d %v: %d defs / %d uses, want %d / %d",
+			seed, names, len(sub.Defs), len(sub.Uses), len(defMap), len(useMap))
+	}
+	for ri, fi := range defMap {
+		if sub.Defs[ri] != full.Defs[fi] {
+			t.Fatalf("seed %d: def %d = %+v, want %+v", seed, ri, sub.Defs[ri], full.Defs[fi])
+		}
+	}
+	for ri, fi := range useMap {
+		if sub.Uses[ri] != full.Uses[fi] {
+			t.Fatalf("seed %d: use %d = %+v, want %+v", seed, ri, sub.Uses[ri], full.Uses[fi])
+		}
+	}
+	same := func(family string, got, want BitSet, idx []int) {
+		if got.Len() != len(idx) {
+			t.Fatalf("seed %d %s: domain %d, want %d", seed, family, got.Len(), len(idx))
+		}
+		for ri, fi := range idx {
+			if got.Has(ri) != want.Has(fi) {
+				t.Fatalf("seed %d %v %s: restricted bit %d = %t, full bit %d = %t",
+					seed, names, family, ri, got.Has(ri), fi, want.Has(fi))
+			}
+		}
+	}
+	for i := 0; i < p.Len(); i++ {
+		same("ReachIn", sub.ReachIn[i], full.ReachIn[i], defMap)
+		same("ReachInF", sub.ReachInF[i], full.ReachInF[i], defMap)
+		same("UseReachIn", sub.UseReachIn[i], full.UseReachIn[i], useMap)
+		same("UseReachInF", sub.UseReachInF[i], full.UseReachInF[i], useMap)
+		same("ExposedUses", sub.ExposedUses[i], full.ExposedUses[i], useMap)
+		same("ExposedDefs", sub.ExposedDefs[i], full.ExposedDefs[i], defMap)
+	}
+	same("UpwardExposed", sub.UpwardExposed, full.UpwardExposed, useMap)
 }

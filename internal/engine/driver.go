@@ -237,22 +237,25 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 		}
 		act.Set("applied", true)
 		done = append(done, Application{Spec: o.Spec.Name, Signature: sig})
+		// The dependence refresh is its own span under the action, so its
+		// cost is visible apart from the rewrite's while the action span
+		// still covers both.
+		upd := act.Child("dep_update")
+		mode := "none"
 		if o.RecomputeDeps {
-			if o.IncrementalDeps {
-				if g.Update(log.Since(start)) {
-					act.Set("dep_update", "incremental")
-				} else {
-					act.Set("dep_update", "structural")
-				}
-			} else {
+			if !o.IncrementalDeps {
 				depAcc = depAcc.Add(g.Stats())
 				g = dep.Compute(p)
-				act.Set("dep_update", "full")
+				mode = "full"
+			} else if g.Update(log.Since(start)) {
+				mode = "incremental"
+			} else {
+				mode = "structural"
 			}
-		} else {
-			act.Set("dep_update", "none")
 		}
 		if traced {
+			upd.Set("mode", mode)
+			upd.End()
 			act.EndWith(time.Since(actStart))
 			pt.End()
 		}

@@ -34,7 +34,8 @@ END`)
   point index=0 sig=2;S1;S2
     match pattern_checks=2
     depend dep_checks=5 scalar_lookups=6 array_lookups=0 control_lookups=0
-    action applied=true dep_update=incremental
+    action applied=true
+      dep_update mode=incremental
   search found=false pattern_checks=3 dep_checks=0 scalar_lookups=0 array_lookups=0 control_lookups=0
 `
 	if got != want {
@@ -70,7 +71,7 @@ END`)
 		}
 	}
 	walk(roots[0])
-	for _, name := range []string{"pass", "point", "match", "depend", "action", "search"} {
+	for _, name := range []string{"pass", "point", "match", "depend", "action", "dep_update", "search"} {
 		if !seen[name] {
 			t.Errorf("span %q missing from trace", name)
 		}

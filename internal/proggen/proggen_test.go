@@ -47,7 +47,7 @@ func TestAnalysesNeverPanic(t *testing.T) {
 			t.Fatalf("seed %d: dataflow size mismatch", seed)
 		}
 		g := dep.Compute(p)
-		for _, d := range g.Deps {
+		for _, d := range g.Deps() {
 			if d.Src != g.Entry && p.Index(d.Src) < 0 || p.Index(d.Dst) < 0 {
 				t.Fatalf("seed %d: dependence references a foreign statement", seed)
 			}

@@ -93,8 +93,7 @@ func Compute(p *ir.Program, g *dep.Graph) Partition {
 	// (src, dst) spans it: min < k <= max over the endpoint indices. Built
 	// as a difference array so the whole edge list is one linear sweep.
 	diff := make([]int, n+2)
-	for i := range g.Deps {
-		d := &g.Deps[i]
+	for _, d := range g.Deps() {
 		if d.Src == g.Entry || d.Dst == g.Entry {
 			continue
 		}

@@ -58,7 +58,7 @@ func TestRegionPartitionProperties(t *testing.T) {
 				regionOf[k] = ri
 			}
 		}
-		for _, d := range g.Deps {
+		for _, d := range g.Deps() {
 			if d.Src == g.Entry || d.Dst == g.Entry {
 				continue
 			}
