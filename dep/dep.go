@@ -660,28 +660,29 @@ func (g *Graph) matches(d *Dependence, kind Kind, src, dst *ir.Stmt, pattern Vec
 // whole graph.
 func (g *Graph) Query(kind Kind, src, dst *ir.Stmt, pattern Vector) []Dependence {
 	var out []Dependence
+	g.Visit(kind, src, dst, pattern, func(d *Dependence) { out = append(out, *d) })
+	return out
+}
+
+// Visit calls fn on each dependence Query would return, in the same order
+// and with the same lookup accounting, without copying the edges. fn must
+// neither keep d nor change the graph.
+func (g *Graph) Visit(kind Kind, src, dst *ir.Stmt, pattern Vector, fn func(d *Dependence)) {
 	for _, id := range g.candidates(kind, src, dst) {
 		d := &g.edges[id]
 		g.countLookup(id)
 		if g.matches(d, kind, src, dst, pattern) {
-			out = append(out, *d)
+			fn(d)
 		}
 	}
-	return out
 }
 
 // Count returns len(Query(kind, src, dst, pattern)) without materializing
-// the matches: it walks the same candidates with the same lookup
-// accounting, so Stats moves by exactly what the Query would have added.
+// the matches; Stats moves by exactly what the Query would have added.
 // The engine's enumeration-order heuristic only needs the size.
 func (g *Graph) Count(kind Kind, src, dst *ir.Stmt, pattern Vector) int {
 	n := 0
-	for _, id := range g.candidates(kind, src, dst) {
-		g.countLookup(id)
-		if g.matches(&g.edges[id], kind, src, dst, pattern) {
-			n++
-		}
-	}
+	g.Visit(kind, src, dst, pattern, func(*Dependence) { n++ })
 	return n
 }
 

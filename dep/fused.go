@@ -1,6 +1,10 @@
 package dep
 
-import "repro/ir"
+import (
+	"slices"
+
+	"repro/ir"
+)
 
 // FusedDirections computes the set of directions a data dependence between
 // statement s (in loop l1) and statement t (in the adjacent loop l2) would
@@ -17,7 +21,10 @@ func FusedDirections(p *ir.Program, s, t *ir.Stmt, l1, l2 ir.Loop) DirSet {
 	var result DirSet
 
 	// Virtual common loop: l1's LCV at level 0; l2's LCV renamed to it.
-	nest := newLoopNest([]ir.Loop{l1}, nil, nil)
+	// The fixed buffers keep a candidate test's working state off the heap.
+	var lcvBuf [1]string
+	var boundsBuf [1]levelBounds
+	nest := newLoopNest([]ir.Loop{l1}, lcvBuf[:0], boundsBuf[:0])
 	rename := func(e ir.LinExpr) ir.LinExpr {
 		if l2.LCV() == l1.LCV() {
 			return e
@@ -25,8 +32,9 @@ func FusedDirections(p *ir.Program, s, t *ir.Stmt, l1, l2 ir.Loop) DirSet {
 		return e.Subst(l2.LCV(), ir.VarExpr(l1.LCV()))
 	}
 
-	sAcc := appendAccesses(nil, s)
-	tAcc := appendAccesses(nil, t)
+	var sBuf, tBuf [4]access
+	sAcc := appendAccesses(sBuf[:0], s)
+	tAcc := appendAccesses(tBuf[:0], t)
 	for _, a := range sAcc {
 		for _, b := range tAcc {
 			if a.op.Name != b.op.Name {
@@ -52,32 +60,23 @@ func FusedDirections(p *ir.Program, s, t *ir.Stmt, l1, l2 ir.Loop) DirSet {
 
 	// Scalar conflicts: a scalar written in one body and touched in the
 	// other can flow either way across fused iterations.
-	sw, sr := scalarAccesses(s)
-	tw, tr := scalarAccesses(t)
-	for v := range sw {
-		if tw[v] || tr[v] {
-			result |= DirAny
-		}
+	sw, sok := scalarWrite(s)
+	tw, tok := scalarWrite(t)
+	if sok && (tok && tw == sw || slices.Contains(t.UsedVars(), sw)) {
+		result |= DirAny
 	}
-	for v := range tw {
-		if sr[v] {
-			result |= DirAny
-		}
+	if tok && slices.Contains(s.UsedVars(), tw) {
+		result |= DirAny
 	}
 	return result
 }
 
-// scalarAccesses returns the scalar names written and read by s. Loop
-// control variables only appear in the read sets (body statements do not
-// define them), so reading the shared index is never flagged as a conflict.
-func scalarAccesses(s *ir.Stmt) (writes, reads map[string]bool) {
-	writes = map[string]bool{}
-	reads = map[string]bool{}
+// scalarWrite returns the scalar name s writes, if any. Loop control
+// variables are never among them (body statements do not define them), so
+// reading the shared index is never flagged as a conflict.
+func scalarWrite(s *ir.Stmt) (string, bool) {
 	if d, ok := s.Defs(); ok && !d.IsArray() {
-		writes[d.Name] = true
+		return d.Name, true
 	}
-	for _, v := range s.UsedVars() {
-		reads[v] = true
-	}
-	return writes, reads
+	return "", false
 }

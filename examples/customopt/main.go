@@ -63,8 +63,10 @@ func main() {
 	fmt.Println("before:")
 	fmt.Print(p.String())
 
-	for name, src := range map[string]string{"SRD": srd, "IDE": ide} {
-		spec, err := genesis.ParseSpec(name, src)
+	// A fixed pass order: SRD first, then IDE over its result.
+	for _, pass := range []struct{ name, src string }{{"SRD", srd}, {"IDE", ide}} {
+		name := pass.name
+		spec, err := genesis.ParseSpec(name, pass.src)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,23 +5,23 @@ import (
 	"repro/ir"
 )
 
-// execActions runs an action list under env. The five primitives mutate the
+// execActions runs an action list under the frame f. The five primitives mutate the
 // program through the ir package's structural operations; each executed
 // primitive counts one ActionOp (the paper's "operations to apply the code
 // transformation").
-func (o *Optimizer) execActions(ctx *context, env Env, actions []gospel.Action) error {
+func (o *Optimizer) execActions(ctx *context, f *frame, actions []gospel.Action) error {
 	for _, a := range actions {
-		if err := o.execAction(ctx, env, a); err != nil {
+		if err := o.execAction(ctx, f, a); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (o *Optimizer) execAction(ctx *context, env Env, a gospel.Action) error {
+func (o *Optimizer) execAction(ctx *context, f *frame, a gospel.Action) error {
 	switch a := a.(type) {
 	case gospel.DeleteAction:
-		sv, err := ctx.eval(env, a.Target)
+		sv, err := ctx.eval(f, a.Target)
 		if err != nil {
 			return err
 		}
@@ -33,11 +33,11 @@ func (o *Optimizer) execAction(ctx *context, env Env, a gospel.Action) error {
 		return nil
 
 	case gospel.MoveAction:
-		sv, err := ctx.eval(env, a.Src)
+		sv, err := ctx.eval(f, a.Src)
 		if err != nil {
 			return err
 		}
-		av, err := ctx.eval(env, a.After)
+		av, err := ctx.eval(f, a.After)
 		if err != nil {
 			// A nil anchor (e.g. L1.head.prev at the top of the program)
 			// means "move to the front".
@@ -54,11 +54,11 @@ func (o *Optimizer) execAction(ctx *context, env Env, a gospel.Action) error {
 		return nil
 
 	case gospel.CopyAction:
-		sv, err := ctx.eval(env, a.Src)
+		sv, err := ctx.eval(f, a.Src)
 		if err != nil {
 			return err
 		}
-		av, err := ctx.eval(env, a.After)
+		av, err := ctx.eval(f, a.After)
 		if err != nil {
 			return err
 		}
@@ -66,16 +66,16 @@ func (o *Optimizer) execAction(ctx *context, env Env, a gospel.Action) error {
 			return errf("copy: needs statement source and anchor")
 		}
 		clone := ctx.prog.Copy(sv.Stmt, av.Stmt)
-		env[a.Name] = stmtVal(clone)
+		f.set(a.Name, stmtVal(clone))
 		ctx.cost.ActionOps++
 		return nil
 
 	case gospel.AddAction:
-		av, err := ctx.eval(env, a.After)
+		av, err := ctx.eval(f, a.After)
 		if err != nil {
 			return err
 		}
-		dv, err := ctx.eval(env, a.Desc)
+		dv, err := ctx.eval(f, a.Desc)
 		if err != nil {
 			return err
 		}
@@ -86,15 +86,15 @@ func (o *Optimizer) execAction(ctx *context, env Env, a gospel.Action) error {
 			return errf("add: element description must evaluate to a statement template")
 		}
 		clone := ctx.prog.InsertAfter(av.Stmt, ir.CloneStmt(dv.Stmt))
-		env[a.Name] = stmtVal(clone)
+		f.set(a.Name, stmtVal(clone))
 		ctx.cost.ActionOps++
 		return nil
 
 	case gospel.ModifyAction:
-		return o.execModify(ctx, env, a)
+		return o.execModify(ctx, f, a)
 
 	case gospel.ForallAction:
-		set, err := ctx.evalSet(env, a.Set)
+		set, err := ctx.evalSet(f, a.Set)
 		if err != nil {
 			return err
 		}
@@ -105,13 +105,13 @@ func (o *Optimizer) execAction(ctx *context, env Env, a gospel.Action) error {
 			if ctx.prog.Index(s) < 0 {
 				continue
 			}
-			env[a.Var] = stmtVal(s)
-			if err := o.execActions(ctx, env, a.Body); err != nil {
-				delete(env, a.Var)
+			f.set(a.Var, stmtVal(s))
+			if err := o.execActions(ctx, f, a.Body); err != nil {
+				f.set(a.Var, Value{})
 				return err
 			}
 		}
-		delete(env, a.Var)
+		f.set(a.Var, Value{})
 		return nil
 	}
 	return errf("unknown action")
@@ -123,15 +123,15 @@ func (o *Optimizer) execAction(ctx *context, env Env, a gospel.Action) error {
 //   - opcode ← opcode literal (folding CFO sets opc to assign, PAR marks a
 //     loop doall);
 //   - whole statement ← subst(v, expr): rewrite occurrences of v.
-func (o *Optimizer) execModify(ctx *context, env Env, a gospel.ModifyAction) error {
-	val, err := ctx.eval(env, a.Value)
+func (o *Optimizer) execModify(ctx *context, f *frame, a gospel.ModifyAction) error {
+	val, err := ctx.eval(f, a.Value)
 	if err != nil {
 		return err
 	}
 
 	// Whole-statement substitution.
 	if val.Kind == VSubst {
-		sv, err := ctx.eval(env, a.Target)
+		sv, err := ctx.eval(f, a.Target)
 		if err != nil {
 			return err
 		}
@@ -145,7 +145,7 @@ func (o *Optimizer) execModify(ctx *context, env Env, a gospel.ModifyAction) err
 		return substStmt(sv.Stmt, val.Subst)
 	}
 
-	stmt, slot, field, err := o.resolveLvalue(ctx, env, a.Target)
+	stmt, slot, field, err := o.resolveLvalue(ctx, f, a.Target)
 	if err != nil {
 		return err
 	}
@@ -178,17 +178,17 @@ func (o *Optimizer) execModify(ctx *context, env Env, a gospel.ModifyAction) err
 
 // resolveLvalue resolves a modify target to (statement, operand slot) or
 // (statement, "opc").
-func (o *Optimizer) resolveLvalue(ctx *context, env Env, target gospel.Expr) (*ir.Stmt, int, string, error) {
+func (o *Optimizer) resolveLvalue(ctx *context, f *frame, target gospel.Expr) (*ir.Stmt, int, string, error) {
 	switch t := target.(type) {
 	case gospel.Call:
 		if t.Fn != "operand" || len(t.Args) != 2 {
 			return nil, 0, "", errf("modify: target call must be operand(S, pos)")
 		}
-		sv, err := ctx.eval(env, t.Args[0])
+		sv, err := ctx.eval(f, t.Args[0])
 		if err != nil {
 			return nil, 0, "", err
 		}
-		pv, err := ctx.eval(env, t.Args[1])
+		pv, err := ctx.eval(f, t.Args[1])
 		if err != nil {
 			return nil, 0, "", err
 		}
@@ -201,7 +201,7 @@ func (o *Optimizer) resolveLvalue(ctx *context, env Env, target gospel.Expr) (*i
 		}
 		return sv.Stmt, int(n), "operand", nil
 	case gospel.Attr:
-		base, err := ctx.eval(env, t.Base)
+		base, err := ctx.eval(f, t.Base)
 		if err != nil {
 			return nil, 0, "", err
 		}

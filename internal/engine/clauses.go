@@ -1,96 +1,114 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/dep"
 	"repro/internal/gospel"
 	"repro/ir"
 )
 
+// clauseScratch is one Depend clause's search state, reused across the
+// clause's evaluations.
+type clauseScratch struct {
+	// slots are the clause's elements not yet bound, in clause order: the
+	// layout of its candidate tuples. stmtVars and posVars index into it.
+	slots             []int
+	stmtVars, posVars []int
+	// mem[j] is tuple element j's membership qualification, when hasMem[j].
+	mem      [][]*ir.Stmt
+	hasMem   []bool
+	covered  []bool
+	anchored []anchoredPred
+}
+
 // matchDepend advances through the Depend clauses, enumerating candidate
 // bindings for each clause's new elements and checking membership and
 // dependence conditions, with backtracking across clauses.
-func (o *Optimizer) matchDepend(ctx *context, idx int, env Env, yield func(Env) bool) bool {
+func (o *Optimizer) matchDepend(ctx *context, idx int, yield func(*frame) bool) bool {
 	if idx >= len(o.Spec.Depends) {
-		return yield(env)
+		return yield(ctx.f)
 	}
 	dc := o.Spec.Depends[idx]
-
-	var newElems []string
-	for _, n := range dc.Elems {
-		if _, bound := env[n]; !bound {
-			newElems = append(newElems, n)
+	sc := &ctx.clauses[idx]
+	sc.slots = sc.slots[:0]
+	for _, s := range o.plan.dep[idx].elems {
+		if !ctx.f.bound(s) {
+			sc.slots = append(sc.slots, s)
 		}
 	}
 
 	// No new bindings: the clause is a pure condition on what is bound.
-	if len(newElems) == 0 {
-		holds := o.clauseHolds(ctx, dc, env)
-		switch dc.Quant {
-		case gospel.QNo:
-			if holds {
-				return true // clause violated: this binding path fails
-			}
-		default:
-			if !holds {
-				return true
-			}
+	if len(sc.slots) == 0 {
+		if o.clauseHolds(ctx, dc) == (dc.Quant == gospel.QNo) {
+			return true // clause violated: this binding path fails
 		}
-		return o.matchDepend(ctx, idx+1, env, yield)
+		return o.matchDepend(ctx, idx+1, yield)
 	}
 
-	candidates := o.clauseCandidates(ctx, dc, env, newElems)
+	// The full candidate list is built before any is tested, so the
+	// dependence lookups it costs do not depend on where a witness lies.
+	base := len(ctx.cands)
+	n := o.clauseCandidates(ctx, idx, sc)
+	w := len(sc.slots)
+	defer func() { ctx.cands = ctx.cands[:base] }()
 
 	switch dc.Quant {
 	case gospel.QAny:
-		for _, cand := range candidates {
-			env2 := withBindings(env, cand)
-			if !o.clauseHolds(ctx, dc, env2) {
-				continue
-			}
-			if !o.matchDepend(ctx, idx+1, env2, yield) {
+		for i := 0; i < n; i++ {
+			ctx.bindTuple(sc.slots, ctx.tuple(base, i, w))
+			more := !o.clauseHolds(ctx, dc) || o.matchDepend(ctx, idx+1, yield)
+			ctx.f.unbind(sc.slots)
+			if !more {
 				return false
 			}
 		}
 		return true
 	case gospel.QNo:
-		for _, cand := range candidates {
-			if o.clauseHolds(ctx, dc, withBindings(env, cand)) {
+		for i := 0; i < n; i++ {
+			ctx.bindTuple(sc.slots, ctx.tuple(base, i, w))
+			witness := o.clauseHolds(ctx, dc)
+			ctx.f.unbind(sc.slots)
+			if witness {
 				return true // a witness exists: precondition fails here
 			}
 		}
-		return o.matchDepend(ctx, idx+1, env, yield)
+		return o.matchDepend(ctx, idx+1, yield)
 	case gospel.QAll:
 		var set []*ir.Stmt
-		for _, cand := range candidates {
-			env2 := withBindings(env, cand)
-			if !o.clauseHolds(ctx, dc, env2) {
-				continue
+		for i := 0; i < n; i++ {
+			t := ctx.tuple(base, i, w)
+			ctx.bindTuple(sc.slots, t)
+			if o.clauseHolds(ctx, dc) && t[0].kind == VStmt {
+				set = append(set, t[0].a)
 			}
-			if v, ok := cand[newElems[0]]; ok && v.Kind == VStmt {
-				set = append(set, v.Stmt)
-			}
+			ctx.f.unbind(sc.slots)
 		}
-		env2 := env.clone()
-		env2[newElems[0]] = setVal(set)
-		return o.matchDepend(ctx, idx+1, env2, yield)
+		first := sc.slots[0]
+		ctx.f.vals[first] = setVal(set)
+		more := o.matchDepend(ctx, idx+1, yield)
+		ctx.f.vals[first] = Value{}
+		return more
 	}
 	return true
 }
 
-// clauseHolds evaluates the full clause body (sets AND conds) under env.
-func (o *Optimizer) clauseHolds(ctx *context, dc gospel.DependClause, env Env) bool {
-	if dc.Sets != nil && !ctx.evalBool(env, dc.Sets) {
+// clauseHolds evaluates the full clause body (sets AND conds) under the
+// frame.
+func (o *Optimizer) clauseHolds(ctx *context, dc gospel.DependClause) bool {
+	if dc.Sets != nil && !ctx.evalBool(ctx.f, dc.Sets) {
 		return false
 	}
-	if dc.Conds != nil && !ctx.evalBool(env, dc.Conds) {
+	if dc.Conds != nil && !ctx.evalBool(ctx.f, dc.Conds) {
 		return false
 	}
 	return true
 }
 
-// clauseCandidates enumerates candidate bindings for the clause's new
-// elements. Three generators exist, mirroring the paper's two membership
-// implementations plus the dependence-anchored search of the dep routine:
+// clauseCandidates pushes the candidate tuples for the clause's new
+// elements onto the candidate stack and returns their count. Three
+// generators exist, mirroring the paper's two membership implementations
+// plus the dependence-anchored search of the dep routine:
 //
 //  1. members-first: draw candidates from the clause's mem() sets;
 //  2. deps-first: draw candidates from dependence edges anchored at
@@ -99,47 +117,40 @@ func (o *Optimizer) clauseHolds(ctx *context, dc gospel.DependClause, env Env) b
 //     candidates (what GENesis was changed to do, Section 4).
 //
 // Position variables are always bound from dependence edges.
-func (o *Optimizer) clauseCandidates(ctx *context, dc gospel.DependClause, env Env, newElems []string) []Env {
+func (o *Optimizer) clauseCandidates(ctx *context, idx int, sc *clauseScratch) int {
+	dp := &o.plan.dep[idx]
 	// Split new elements into statement/loop variables and position vars.
-	var stmtVars, posVars []string
-	for _, n := range newElems {
-		if _, declared := o.Spec.DeclKind(n); declared {
-			stmtVars = append(stmtVars, n)
+	sc.stmtVars, sc.posVars = sc.stmtVars[:0], sc.posVars[:0]
+	for j, s := range sc.slots {
+		if o.plan.declared[s] {
+			sc.stmtVars = append(sc.stmtVars, j)
 		} else {
-			posVars = append(posVars, n)
+			sc.posVars = append(sc.posVars, j)
 		}
 	}
-
-	anchored := o.anchoredPreds(dc, env, stmtVars)
-	memSets := o.memSetsFor(ctx, dc, env, stmtVars)
+	o.anchoredPreds(dp, sc)
+	o.memSetsFor(ctx, dp, sc)
 
 	strategy := o.Strategy
 	if strategy == StrategyHeuristic {
-		strategy = o.chooseStrategy(ctx, dc, env, stmtVars, anchored, memSets)
+		strategy = o.chooseStrategy(ctx, dp, sc)
 	}
-	if strategy == StrategyDeps {
+	if strategy == StrategyDeps && !depCompleteAll(dp, sc) {
 		// Even when forced, the deps-first order is only sound when the
 		// dependence edges enumerate every possible candidate.
-		for _, n := range stmtVars {
-			if dc.Conds == nil || !depComplete(dc.Conds, n) {
-				strategy = StrategyMembers
-				break
-			}
-		}
+		strategy = StrategyMembers
 	}
 
-	var envs []Env
-	if strategy == StrategyDeps && len(anchored) > 0 {
-		envs = o.depCandidates(ctx, env, stmtVars, posVars, anchored)
-	} else {
-		envs = o.memberCandidates(ctx, env, stmtVars, memSets)
-		// Position variables still come from edges: extend each candidate
-		// with the positions of matching dependences.
-		if len(posVars) > 0 {
-			envs = o.extendWithPositions(ctx, env, envs, dc, posVars)
-		}
+	if strategy == StrategyDeps && len(sc.anchored) > 0 {
+		return o.depCandidates(ctx, sc)
 	}
-	return envs
+	n := o.memberCandidates(ctx, sc)
+	// Position variables still come from edges: extend each candidate
+	// with the positions of matching dependences.
+	if len(sc.posVars) > 0 {
+		n = o.extendWithPositions(ctx, dp, sc, n)
+	}
+	return n
 }
 
 // anchoredPred is a dependence predicate in the clause generating
@@ -148,53 +159,49 @@ func (o *Optimizer) clauseCandidates(ctx *context, dc gospel.DependClause, env E
 // paper's implementation 2: "consider the dependences of one statement and
 // check the corresponding dependent statements for membership").
 type anchoredPred struct {
-	call    gospel.Call
-	newName string
-	newIsrc bool // the new element is the dependence source
-	// pair predicates bind both endpoints.
-	pair             bool
-	srcName, dstName string
+	*depPred
+	// newJ is the tuple index of the new element; newIsrc reports that it
+	// is the dependence source.
+	newJ    int
+	newIsrc bool
+	// pair predicates bind both endpoints, tuple indices srcJ and dstJ.
+	pair       bool
+	srcJ, dstJ int
 }
 
-// anchoredPreds scans the clause conditions for dependence predicates that
-// can generate candidates for new elements.
-func (o *Optimizer) anchoredPreds(dc gospel.DependClause, env Env, stmtVars []string) []anchoredPred {
-	isNew := map[string]bool{}
-	for _, n := range stmtVars {
-		isNew[n] = true
+// stmtVar returns the tuple index of slot when it is one of the clause's
+// new statement/loop elements, or -1.
+func (sc *clauseScratch) stmtVar(slot int) int {
+	if slot < 0 {
+		return -1
 	}
-	var out []anchoredPred
-	var walk func(e gospel.Expr)
-	walk = func(e gospel.Expr) {
-		switch e := e.(type) {
-		case gospel.Binary:
-			walk(e.L)
-			walk(e.R)
-		case gospel.Not:
-			walk(e.E)
-		case gospel.Call:
-			if _, ok := depPredName(e.Fn); !ok || len(e.Args) < 2 {
-				return
-			}
-			srcName, srcIsIdent := identName(e.Args[0])
-			dstName, dstIsIdent := identName(e.Args[1])
-			srcNew := srcIsIdent && isNew[srcName]
-			dstNew := dstIsIdent && isNew[dstName]
-			switch {
-			case srcNew && dstNew:
-				out = append(out, anchoredPred{call: e, pair: true,
-					srcName: srcName, dstName: dstName})
-			case srcNew:
-				out = append(out, anchoredPred{call: e, newName: srcName, newIsrc: true})
-			case dstNew:
-				out = append(out, anchoredPred{call: e, newName: dstName, newIsrc: false})
-			}
+	for _, j := range sc.stmtVars {
+		if sc.slots[j] == slot {
+			return j
 		}
 	}
-	if dc.Conds != nil {
-		walk(dc.Conds)
+	return -1
+}
+
+// anchoredPreds collects the clause's dependence predicates that can
+// generate candidates for new elements.
+func (o *Optimizer) anchoredPreds(dp *depPlan, sc *clauseScratch) {
+	sc.anchored = sc.anchored[:0]
+	for i := range dp.preds {
+		p := &dp.preds[i]
+		if len(p.call.Args) < 2 {
+			continue
+		}
+		src, dst := sc.stmtVar(p.src), sc.stmtVar(p.dst)
+		switch {
+		case src >= 0 && dst >= 0:
+			sc.anchored = append(sc.anchored, anchoredPred{depPred: p, pair: true, srcJ: src, dstJ: dst})
+		case src >= 0:
+			sc.anchored = append(sc.anchored, anchoredPred{depPred: p, newJ: src, newIsrc: true})
+		case dst >= 0:
+			sc.anchored = append(sc.anchored, anchoredPred{depPred: p, newJ: dst})
+		}
 	}
-	return out
 }
 
 func depPredName(fn string) (dep.Kind, bool) {
@@ -211,50 +218,23 @@ func depPredName(fn string) (dep.Kind, bool) {
 	return 0, false
 }
 
-func identName(e gospel.Expr) (string, bool) {
-	id, ok := e.(gospel.Ident)
-	if !ok {
-		return "", false
-	}
-	return id.Name, true
-}
-
 // memSetsFor resolves the clause's mem(X, set) qualifications for new
 // elements into concrete statement sets.
-func (o *Optimizer) memSetsFor(ctx *context, dc gospel.DependClause, env Env, stmtVars []string) map[string][]*ir.Stmt {
-	out := map[string][]*ir.Stmt{}
-	if dc.Sets == nil {
-		return out
-	}
-	isNew := map[string]bool{}
-	for _, n := range stmtVars {
-		isNew[n] = true
-	}
-	var walk func(e gospel.Expr)
-	walk = func(e gospel.Expr) {
-		switch e := e.(type) {
-		case gospel.Binary:
-			walk(e.L)
-			walk(e.R)
-		case gospel.Call:
-			if e.Fn != "mem" || len(e.Args) != 2 {
-				return
-			}
-			name, ok := identName(e.Args[0])
-			if !ok || !isNew[name] {
-				return
-			}
-			if _, have := out[name]; have {
-				return // first qualification wins for enumeration
-			}
-			set, err := ctx.evalSet(env, e.Args[1])
-			if err == nil {
-				out[name] = set
-			}
+func (o *Optimizer) memSetsFor(ctx *context, dp *depPlan, sc *clauseScratch) {
+	w := len(sc.slots)
+	sc.mem = slices.Grow(sc.mem[:0], w)[:w]
+	sc.hasMem = slices.Grow(sc.hasMem[:0], w)[:w]
+	clear(sc.mem)
+	clear(sc.hasMem)
+	for _, q := range dp.mems {
+		j := sc.stmtVar(q.slot)
+		if j < 0 || sc.hasMem[j] {
+			continue // first qualification wins for enumeration
+		}
+		if set, err := ctx.evalSet(ctx.f, q.set); err == nil {
+			sc.mem[j], sc.hasMem[j] = set, true
 		}
 	}
-	walk(dc.Sets)
-	return out
 }
 
 // depComplete reports whether every assignment satisfying conds must
@@ -284,53 +264,60 @@ func depComplete(conds gospel.Expr, name string) bool {
 	return false
 }
 
+// depCompleteAll reports whether dependence edges are a complete
+// generator for every new statement/loop element of the clause.
+func depCompleteAll(dp *depPlan, sc *clauseScratch) bool {
+	for _, j := range sc.stmtVars {
+		if !slices.Contains(dp.complete, sc.slots[j]) {
+			return false
+		}
+	}
+	return true
+}
+
 // chooseStrategy implements the paper's heuristic: compare the number of
 // candidates each enumeration order would examine and take the smaller.
 // Dependence-edge enumeration is only eligible when it is complete for
 // every element (see depComplete).
-func (o *Optimizer) chooseStrategy(ctx *context, dc gospel.DependClause, env Env, stmtVars []string, anchored []anchoredPred, memSets map[string][]*ir.Stmt) Strategy {
-	if len(anchored) == 0 {
+func (o *Optimizer) chooseStrategy(ctx *context, dp *depPlan, sc *clauseScratch) Strategy {
+	if len(sc.anchored) == 0 || !depCompleteAll(dp, sc) {
 		return StrategyMembers
 	}
-	for _, n := range stmtVars {
-		if dc.Conds == nil || !depComplete(dc.Conds, n) {
-			return StrategyMembers
-		}
-	}
 	memCount := 1
-	for _, n := range stmtVars {
-		if set, ok := memSets[n]; ok {
-			memCount *= len(set)
+	for _, j := range sc.stmtVars {
+		if sc.hasMem[j] {
+			memCount *= len(sc.mem[j])
 		} else {
 			memCount *= ctx.prog.Len()
 		}
 	}
 	// Estimate the edge enumeration exactly as depCandidates would run it.
+	w := len(sc.slots)
+	sc.covered = slices.Grow(sc.covered[:0], w)[:w]
+	clear(sc.covered)
 	depCount := 0
-	covered := map[string]bool{}
-	for _, ap := range anchored {
-		kind, _ := depPredName(ap.call.Fn)
+	for _, ap := range sc.anchored {
 		switch {
 		case ap.pair:
-			depCount += ctx.graph.Count(kind, nil, nil, predQueryDir(ap.call))
-			covered[ap.srcName] = true
-			covered[ap.dstName] = true
+			depCount += ctx.graph.Count(ap.kind, nil, nil, predQueryDir(ap.call))
+			sc.covered[ap.srcJ] = true
+			sc.covered[ap.dstJ] = true
 		case ap.newIsrc:
-			if dv, err := ctx.eval(env, ap.call.Args[1]); err == nil && dv.Kind == VStmt {
-				depCount += ctx.graph.Count(kind, nil, dv.Stmt, predQueryDir(ap.call))
-				covered[ap.newName] = true
+			if dv, err := ctx.eval(ctx.f, ap.call.Args[1]); err == nil && dv.Kind == VStmt {
+				depCount += ctx.graph.Count(ap.kind, nil, dv.Stmt, predQueryDir(ap.call))
+				sc.covered[ap.newJ] = true
 			}
 		default:
-			if sv, err := ctx.eval(env, ap.call.Args[0]); err == nil && sv.Kind == VStmt {
-				depCount += ctx.graph.Count(kind, sv.Stmt, nil, predQueryDir(ap.call))
-				covered[ap.newName] = true
+			if sv, err := ctx.eval(ctx.f, ap.call.Args[0]); err == nil && sv.Kind == VStmt {
+				depCount += ctx.graph.Count(ap.kind, sv.Stmt, nil, predQueryDir(ap.call))
+				sc.covered[ap.newJ] = true
 			}
 		}
 	}
 	// Elements not generable from any dependence predicate force the
 	// members-first order.
-	for _, n := range stmtVars {
-		if !covered[n] {
+	for _, j := range sc.stmtVars {
+		if !sc.covered[j] {
 			return StrategyMembers
 		}
 	}
@@ -340,39 +327,35 @@ func (o *Optimizer) chooseStrategy(ctx *context, dc gospel.DependClause, env Env
 	return StrategyMembers
 }
 
-// memberCandidates enumerates the cartesian product of each new element's
+// memberCandidates pushes the cartesian product of each new element's
 // membership set (or all statements / loops when unqualified).
-func (o *Optimizer) memberCandidates(ctx *context, env Env, stmtVars []string, memSets map[string][]*ir.Stmt) []Env {
-	envs := []Env{{}}
-	for _, n := range stmtVars {
-		kind, _ := o.Spec.DeclKind(n)
-		var vals []Value
-		if kind == gospel.KStmt {
-			if set, ok := memSets[n]; ok {
-				for _, s := range set {
-					vals = append(vals, stmtVal(s))
-				}
-			} else {
-				for _, s := range ctx.prog.Stmts() {
-					vals = append(vals, stmtVal(s))
+func (o *Optimizer) memberCandidates(ctx *context, sc *clauseScratch) int {
+	base, w := len(ctx.cands), len(sc.slots)
+	ctx.push(nil, w)
+	n := 1
+	for _, j := range sc.stmtVars {
+		top := len(ctx.cands)
+		if o.plan.kind[sc.slots[j]] == gospel.KStmt {
+			stmts := ctx.prog.Stmts()
+			if sc.hasMem[j] {
+				stmts = sc.mem[j]
+			}
+			for i := 0; i < n; i++ {
+				for _, s := range stmts {
+					ctx.push(ctx.tuple(base, i, w), w)[j] = stmtCV(s)
 				}
 			}
 		} else {
-			for _, l := range ir.Loops(ctx.prog) {
-				vals = append(vals, loopVal(l))
+			loops := ctx.loopList()
+			for i := 0; i < n; i++ {
+				for _, l := range loops {
+					ctx.push(ctx.tuple(base, i, w), w)[j] = loopCV(l)
+				}
 			}
 		}
-		var next []Env
-		for _, e := range envs {
-			for _, v := range vals {
-				e2 := e.clone()
-				e2[n] = v
-				next = append(next, e2)
-			}
-		}
-		envs = next
+		n = ctx.settle(base, top, w)
 	}
-	return envs
+	return n
 }
 
 // predQueryDir returns the direction pattern to enumerate a predicate's
@@ -386,167 +369,128 @@ func predQueryDir(c gospel.Call) dep.Vector {
 	return c.Dir
 }
 
-// depCandidates enumerates candidates from dependence edges anchored at
-// bound statements (the Fig. 7 dep routine's LST search mode), binding the
-// new statement and any position variables from each edge. All anchored
+// depCandidates pushes candidates from dependence edges anchored at bound
+// statements (the Fig. 7 dep routine's LST search mode), binding the new
+// statement and any position variables from each edge. All anchored
 // predicates mentioning an element contribute candidates — a disjunctive
 // condition (out_dep(Si, Sm) OR anti_dep(Sm, Si)) can witness through any
 // of its predicates.
-func (o *Optimizer) depCandidates(ctx *context, env Env, stmtVars, posVars []string, anchored []anchoredPred) []Env {
+func (o *Optimizer) depCandidates(ctx *context, sc *clauseScratch) int {
+	base, w := len(ctx.cands), len(sc.slots)
 	// Pair predicates bind two new elements from each edge (the paper's
 	// implementation 2).
-	if len(stmtVars) == 2 {
-		var pairs []anchoredPred
-		for _, ap := range anchored {
-			if ap.pair &&
-				((ap.srcName == stmtVars[0] && ap.dstName == stmtVars[1]) ||
-					(ap.srcName == stmtVars[1] && ap.dstName == stmtVars[0])) {
-				pairs = append(pairs, ap)
+	if len(sc.stmtVars) == 2 {
+		a, b := sc.stmtVars[0], sc.stmtVars[1]
+		paired := false
+		for _, ap := range sc.anchored {
+			if !ap.pair || !(ap.srcJ == a && ap.dstJ == b || ap.srcJ == b && ap.dstJ == a) {
+				continue
 			}
+			paired = true
+			ctx.graph.Visit(ap.kind, nil, nil, predQueryDir(ap.call), func(d *dep.Dependence) {
+				ctx.cost.DepChecks++
+				t := ctx.push(nil, w)
+				t[ap.srcJ], t[ap.dstJ] = stmtCV(d.Src), stmtCV(d.Dst)
+				setPositions(t, sc.posVars, d)
+			})
 		}
-		if len(pairs) > 0 {
-			var envs []Env
-			for _, ap := range pairs {
-				kind, _ := depPredName(ap.call.Fn)
-				edges := ctx.graph.Query(kind, nil, nil, predQueryDir(ap.call))
-				ctx.cost.DepChecks += len(edges)
-				for _, edge := range edges {
-					e := Env{
-						ap.srcName: stmtVal(edge.Src),
-						ap.dstName: stmtVal(edge.Dst),
-					}
-					bindPositions(e, posVars, edge)
-					envs = append(envs, e)
-				}
-			}
-			return dedupEnvs(envs)
+		if paired {
+			return ctx.dedup(base, len(ctx.cands[base:])/w, w)
 		}
 	}
 
-	byName := map[string][]anchoredPred{}
-	for _, ap := range anchored {
-		if ap.pair {
-			continue
+	ctx.push(nil, w)
+	n := 1
+	for _, j := range sc.stmtVars {
+		top := len(ctx.cands)
+		anchored := false
+		for _, ap := range sc.anchored {
+			anchored = anchored || !ap.pair && ap.newJ == j
 		}
-		byName[ap.newName] = append(byName[ap.newName], ap)
-	}
-	envs := []Env{{}}
-	for _, n := range stmtVars {
-		aps := byName[n]
-		if len(aps) == 0 {
+		if !anchored {
 			// Fall back to all statements for elements without an anchor.
-			var next []Env
-			for _, e := range envs {
+			for i := 0; i < n; i++ {
 				for _, s := range ctx.prog.Stmts() {
-					e2 := e.clone()
-					e2[n] = stmtVal(s)
-					next = append(next, e2)
+					ctx.push(ctx.tuple(base, i, w), w)[j] = stmtCV(s)
 				}
 			}
-			envs = next
+			n = ctx.settle(base, top, w)
 			continue
 		}
-		var next []Env
-		for _, e := range envs {
-			full := withBindings(env, e)
-			for _, ap := range aps {
-				kind, _ := depPredName(ap.call.Fn)
-				var edges []dep.Dependence
+		for i := 0; i < n; i++ {
+			ctx.bindTuple(sc.slots, ctx.tuple(base, i, w))
+			for _, ap := range sc.anchored {
+				if ap.pair || ap.newJ != j {
+					continue
+				}
+				var src, dst *ir.Stmt
 				if ap.newIsrc {
-					if dv, err := ctx.eval(full, ap.call.Args[1]); err == nil && dv.Kind == VStmt {
-						edges = ctx.graph.Query(kind, nil, dv.Stmt, predQueryDir(ap.call))
+					dv, err := ctx.eval(ctx.f, ap.call.Args[1])
+					if err != nil || dv.Kind != VStmt {
+						continue
 					}
+					dst = dv.Stmt
 				} else {
-					if sv, err := ctx.eval(full, ap.call.Args[0]); err == nil && sv.Kind == VStmt {
-						edges = ctx.graph.Query(kind, sv.Stmt, nil, predQueryDir(ap.call))
+					sv, err := ctx.eval(ctx.f, ap.call.Args[0])
+					if err != nil || sv.Kind != VStmt {
+						continue
 					}
+					src = sv.Stmt
 				}
-				ctx.cost.DepChecks += len(edges)
-				for _, edge := range edges {
-					e2 := e.clone()
+				ctx.graph.Visit(ap.kind, src, dst, predQueryDir(ap.call), func(d *dep.Dependence) {
+					ctx.cost.DepChecks++
+					t := ctx.push(ctx.tuple(base, i, w), w)
 					if ap.newIsrc {
-						e2[n] = stmtVal(edge.Src)
+						t[j] = stmtCV(d.Src)
 					} else {
-						e2[n] = stmtVal(edge.Dst)
+						t[j] = stmtCV(d.Dst)
 					}
-					bindPositions(e2, posVars, edge)
-					next = append(next, e2)
-				}
+					setPositions(t, sc.posVars, d)
+				})
 			}
+			ctx.f.unbind(sc.slots)
 		}
-		envs = next
+		n = ctx.settle(base, top, w)
 	}
-	return dedupEnvs(envs)
+	return ctx.dedup(base, n, w)
 }
 
-// extendWithPositions extends member-enumerated candidates with position
-// bindings from the dependence edges that the clause's predicates match.
-func (o *Optimizer) extendWithPositions(ctx *context, env Env, envs []Env, dc gospel.DependClause, posVars []string) []Env {
-	var preds []gospel.Call
-	var walk func(e gospel.Expr)
-	walk = func(e gospel.Expr) {
-		switch e := e.(type) {
-		case gospel.Binary:
-			walk(e.L)
-			walk(e.R)
-		case gospel.Not:
-			walk(e.E)
-		case gospel.Call:
-			if _, ok := depPredName(e.Fn); ok {
-				preds = append(preds, e)
-			}
-		}
+// extendWithPositions replaces the n member-enumerated candidates on top of
+// the stack with their extensions by the position bindings of the
+// dependence edges the clause's first predicate matches.
+func (o *Optimizer) extendWithPositions(ctx *context, dp *depPlan, sc *clauseScratch, n int) int {
+	if len(dp.preds) == 0 {
+		return n
 	}
-	if dc.Conds != nil {
-		walk(dc.Conds)
-	}
-	if len(preds) == 0 {
-		return envs
-	}
-	var out []Env
-	for _, cand := range envs {
-		full := withBindings(env, cand)
-		pred := preds[0]
-		kind, _ := depPredName(pred.Fn)
-		sv, serr := ctx.eval(full, pred.Args[0])
-		dv, derr := ctx.eval(full, pred.Args[1])
+	w := len(sc.slots)
+	base, top := len(ctx.cands)-n*w, len(ctx.cands)
+	pred := dp.preds[0]
+	for i := 0; i < n; i++ {
+		ctx.bindTuple(sc.slots, ctx.tuple(base, i, w))
+		sv, serr := ctx.eval(ctx.f, pred.call.Args[0])
+		dv, derr := ctx.eval(ctx.f, pred.call.Args[1])
+		ctx.f.unbind(sc.slots)
 		if serr != nil || derr != nil || sv.Kind != VStmt || dv.Kind != VStmt {
-			out = append(out, cand)
+			ctx.push(ctx.tuple(base, i, w), w)
 			continue
 		}
-		edges := ctx.graph.Query(kind, sv.Stmt, dv.Stmt, pred.Dir)
-		ctx.cost.DepChecks += len(edges)
-		for _, edge := range edges {
-			e2 := cand.clone()
-			bindPositions(e2, posVars, edge)
-			out = append(out, e2)
-		}
+		ctx.graph.Visit(pred.kind, sv.Stmt, dv.Stmt, pred.call.Dir, func(d *dep.Dependence) {
+			ctx.cost.DepChecks++
+			setPositions(ctx.push(ctx.tuple(base, i, w), w), sc.posVars, d)
+		})
 	}
-	return dedupEnvs(out)
+	return ctx.dedup(base, ctx.settle(base, top, w), w)
 }
 
-// bindPositions binds position variables from a dependence edge: the
+// setPositions binds position variables from a dependence edge: the
 // operand position involved at the use end of the dependence (DstPos for
 // flow and output, SrcPos for anti).
-func bindPositions(e Env, posVars []string, edge dep.Dependence) {
-	pos := edge.DstPos
-	if edge.Kind == dep.Anti {
-		pos = edge.SrcPos
+func setPositions(t []cval, posVars []int, d *dep.Dependence) {
+	pos := d.DstPos
+	if d.Kind == dep.Anti {
+		pos = d.SrcPos
 	}
-	for _, pv := range posVars {
-		e[pv] = numVal(int64(pos))
+	for _, j := range posVars {
+		t[j] = cval{kind: VNum, num: int64(pos)}
 	}
-}
-
-func dedupEnvs(envs []Env) []Env {
-	seen := map[string]bool{}
-	var out []Env
-	for _, e := range envs {
-		sig := envSignature(e)
-		if !seen[sig] {
-			seen[sig] = true
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -3,8 +3,6 @@ package engine
 import (
 	stdcontext "context"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/dep"
@@ -13,46 +11,32 @@ import (
 	"repro/optlib"
 )
 
-// envSignature renders an application point as a stable string over the
-// *set* of bound values (statement IDs, loop head IDs, positions), ignoring
-// which element variable holds which value. Using the value set rather than
-// the (name, value) map makes self-inverse transformations converge: after
-// a loop interchange the re-discovered point binds the same two loops with
-// the roles swapped, which is the same application point.
-func envSignature(e Env) string {
-	parts := make([]string, 0, len(e))
-	for _, v := range e {
-		switch v.Kind {
-		case VStmt:
-			if v.Stmt != nil {
-				parts = append(parts, fmt.Sprintf("S%d", v.Stmt.ID))
-			}
-		case VLoop:
-			if v.Loop.Head != nil {
-				parts = append(parts, fmt.Sprintf("L%d", v.Loop.Head.ID))
-			}
-		case VNum:
-			parts = append(parts, fmt.Sprintf("%d", v.Num))
-		case VSet:
-			// Render the sorted member IDs: two distinct sets of equal size
-			// must not collide, or the second application point is silently
-			// skipped as already-seen.
-			ids := make([]int, 0, len(v.Set))
-			for _, s := range v.Set {
-				if s != nil {
-					ids = append(ids, s.ID)
-				}
-			}
-			sort.Ints(ids)
-			mem := make([]string, len(ids))
-			for i, id := range ids {
-				mem[i] = fmt.Sprintf("S%d", id)
-			}
-			parts = append(parts, "set{"+strings.Join(mem, ",")+"}")
+// pointSig renders the role-blind signature of search frames into
+// reusable storage, so the driver's already-applied check allocates
+// nothing.
+type pointSig struct {
+	buf []byte
+	sc  sigScratch
+}
+
+func (s *pointSig) of(f *frame) []byte {
+	s.buf = appendSignature(s.buf[:0], f.vals, &s.sc)
+	return s.buf
+}
+
+// firstFresh searches for the first binding whose signature is not in seen
+// and copies it into chosen; sig then holds its signature.
+func (o *Optimizer) firstFresh(ctx *context, seen map[string]bool, sig *pointSig, chosen *frame) bool {
+	found := false
+	o.search(ctx, func(f *frame) bool {
+		if seen[string(sig.of(f))] {
+			return true // keep searching
 		}
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
+		chosen.copyFrom(f)
+		found = true
+		return false
+	})
+	return found
 }
 
 // Application describes one performed application of an optimization.
@@ -62,9 +46,16 @@ type Application struct {
 }
 
 // Signature renders an application point's stable identity string — the
-// key ApplyAll deduplicates on. Exported for callers (interactive sessions,
-// services) that track skipped or applied points across calls.
-func Signature(e Env) string { return envSignature(e) }
+// key ApplyAll deduplicates on, over the *set* of bound values (see
+// appendSignature). Exported for callers (interactive sessions, services)
+// that track skipped or applied points across calls.
+func Signature(e Env) string {
+	vals := make([]Value, 0, len(e))
+	for _, v := range e {
+		vals = append(vals, v)
+	}
+	return string(appendSignature(nil, vals, &sigScratch{}))
+}
 
 // ApplyOnce runs the Fig. 5 driver once: search for the first application
 // point and apply the actions there. It computes its own dependence graph.
@@ -77,11 +68,11 @@ func (o *Optimizer) ApplyOnce(p *ir.Program) (bool, error) {
 // (which must describe p's current state).
 func (o *Optimizer) ApplyOnceWith(p *ir.Program, g *dep.Graph) (bool, error) {
 	ctx := o.newContext(p, g)
-	env, ok := o.findFirst(ctx)
+	f, ok := o.findFirst(ctx)
 	if !ok {
 		return false, nil
 	}
-	if err := o.applyAt(ctx, env); err != nil {
+	if err := o.applyAt(ctx, f); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -151,13 +142,14 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 			}
 		}()
 	}
+	ectx := o.newContext(p, g)
+	var chosen frame
+	var psig pointSig
 	for {
 		if err := ctx.Err(); err != nil {
 			return done, err
 		}
-		ectx := o.newContext(p, g)
-		var chosen Env
-		found := false
+		ectx.graph = g
 		var searchStart time.Time
 		var costPre Cost
 		var statsPre dep.Stats
@@ -167,15 +159,7 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 			costPre = o.cost
 			statsPre = g.Stats()
 		}
-		o.matchPattern(ectx, 0, Env{}, func(env Env) bool {
-			sig := envSignature(env)
-			if seen[sig] {
-				return true // keep searching
-			}
-			chosen = env.clone()
-			found = true
-			return false
-		})
+		found := o.firstFresh(ectx, seen, &psig, &chosen)
 		var searchDur, depDur time.Duration
 		var costPost Cost
 		var statsPost dep.Stats
@@ -199,7 +183,7 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 			// system or a cap set too low for the program.
 			return done, optlib.ErrIterationLimit
 		}
-		sig := envSignature(chosen)
+		sig := string(psig.buf)
 		seen[sig] = true
 		var pt, act *obs.Span
 		var actStart time.Time
@@ -221,7 +205,7 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 			rbPre = log.Rollbacks()
 		}
 		start := log.Mark()
-		if aerr := o.applyAt(ectx, chosen); aerr != nil {
+		if aerr := o.applyAt(ectx, &chosen); aerr != nil {
 			// The actions could not be applied at this point (e.g. an
 			// unrepresentable substitution). The undo log rolled the program
 			// back in place, preserving statement identity, so the graph is
@@ -285,21 +269,22 @@ func setSearchAttrs(sp *obs.Span, post, pre Cost, ds dep.Stats) {
 // caller may pass any binding, checked or not).
 func (o *Optimizer) ApplyAt(p *ir.Program, g *dep.Graph, env Env) error {
 	ctx := o.newContext(p, g)
-	return o.applyAt(ctx, env)
+	return o.applyAt(ctx, o.frameOf(env))
 }
 
-// applyAt executes the action section under env with rollback on failure.
+// applyAt executes the action section under the bindings of f, which the
+// actions extend with the names they bind, with rollback on failure.
 // Instead of snapshotting the whole program (the seed's Clone/CopyFrom,
 // O(n) per attempt), it journals the executed primitives and replays them
 // backwards on failure — O(|edits|) — leaving every untouched statement
 // pointer-identical so the caller's dependence graph stays valid.
-func (o *Optimizer) applyAt(ctx *context, env Env) error {
+func (o *Optimizer) applyAt(ctx *context, f *frame) error {
 	log, owned := ctx.prog.EnsureLog()
 	if owned {
 		defer log.Detach()
 	}
 	mark := log.Mark()
-	if err := o.execActions(ctx, env.clone(), o.Spec.Actions); err != nil {
+	if err := o.execActions(ctx, f, o.Spec.Actions); err != nil {
 		log.UndoTo(mark)
 		return err
 	}

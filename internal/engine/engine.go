@@ -50,6 +50,7 @@ type Optimizer struct {
 	// A nil tracer costs only nil checks on the hot path.
 	Tracer *obs.Tracer
 
+	plan *plan
 	cost Cost
 }
 
@@ -93,8 +94,8 @@ func WithTracer(t *obs.Tracer) Option { return func(o *Optimizer) { o.Tracer = t
 
 // Compile turns a checked specification into an optimizer. It performs the
 // generator's static work: validating that the specification's element
-// types have candidate generators and pre-resolving clause evaluation
-// plans.
+// types have candidate generators and laying out the slot table every
+// search binds into.
 func Compile(spec *gospel.Spec, opts ...Option) (*Optimizer, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("engine: nil specification")
@@ -121,6 +122,7 @@ func Compile(spec *gospel.Spec, opts ...Option) (*Optimizer, error) {
 			}
 		}
 	}
+	o.plan = newPlan(spec)
 	return o, nil
 }
 
@@ -138,14 +140,22 @@ func (o *Optimizer) newContext(p *ir.Program, g *dep.Graph) *context {
 	return &context{prog: p, graph: g, cost: &o.cost, opt: o}
 }
 
+// search runs one precondition search, calling yield with the frame for
+// each complete binding; yield returns false to stop. The frame is reused
+// and rebound as the search backtracks, so yield must copy what it keeps.
+func (o *Optimizer) search(ctx *context, yield func(*frame) bool) {
+	ctx.beginSearch()
+	o.matchPattern(ctx, 0, yield)
+	ctx.endSearch()
+}
+
 // Preconditions finds every binding of the specification's precondition in
 // the current program: the application points. The dependence graph must
 // describe the current program state.
 func (o *Optimizer) Preconditions(p *ir.Program, g *dep.Graph) []Env {
-	ctx := o.newContext(p, g)
 	var out []Env
-	o.matchPattern(ctx, 0, Env{}, func(env Env) bool {
-		out = append(out, env.clone())
+	o.search(o.newContext(p, g), func(f *frame) bool {
+		out = append(out, f.env())
 		return true // continue searching
 	})
 	return out
@@ -160,8 +170,8 @@ func (o *Optimizer) PreconditionsPatternOnly(p *ir.Program, g *dep.Graph) []Env 
 	ctx := o.newContext(p, g)
 	ctx.patternOnly = true
 	var out []Env
-	o.matchPattern(ctx, 0, Env{}, func(env Env) bool {
-		out = append(out, env.clone())
+	o.search(ctx, func(f *frame) bool {
+		out = append(out, f.env())
 		return true // continue searching
 	})
 	return out
@@ -176,159 +186,168 @@ func (o *Optimizer) CountPatternOnly(p *ir.Program, g *dep.Graph) int {
 	ctx := o.newContext(p, g)
 	ctx.patternOnly = true
 	n := 0
-	o.matchPattern(ctx, 0, Env{}, func(Env) bool {
+	o.search(ctx, func(*frame) bool {
 		n++
 		return true
 	})
 	return n
 }
 
-// findFirst returns the first full precondition binding, if any.
-func (o *Optimizer) findFirst(ctx *context) (Env, bool) {
-	var found Env
-	ok := false
-	o.matchPattern(ctx, 0, Env{}, func(env Env) bool {
-		found = env.clone()
-		ok = true
+// findFirst returns the first full precondition binding, if any, as a copy
+// of the search frame.
+func (o *Optimizer) findFirst(ctx *context) (*frame, bool) {
+	var found *frame
+	o.search(ctx, func(f *frame) bool {
+		found = &frame{}
+		found.copyFrom(f)
 		return false // stop
 	})
-	return found, ok
+	return found, found != nil
 }
 
 // matchPattern advances through Code_Pattern clauses, then hands over to the
 // Depend clauses; yield is called for each complete binding and returns
 // false to stop the search.
-func (o *Optimizer) matchPattern(ctx *context, idx int, env Env, yield func(Env) bool) bool {
+func (o *Optimizer) matchPattern(ctx *context, idx int, yield func(*frame) bool) bool {
 	if idx >= len(o.Spec.Patterns) {
 		if ctx.patternOnly {
-			return yield(env)
+			return yield(ctx.f)
 		}
 		if !ctx.timed {
-			return o.matchDepend(ctx, 0, env, yield)
+			return o.matchDepend(ctx, 0, yield)
 		}
 		// Tracing: attribute the Depend section's evaluation time to the
 		// depend phase, leaving search-minus-depend as the match phase.
 		t0 := time.Now()
-		r := o.matchDepend(ctx, 0, env, yield)
+		r := o.matchDepend(ctx, 0, yield)
 		ctx.depNS += time.Since(t0).Nanoseconds()
 		return r
 	}
 	pc := o.Spec.Patterns[idx]
+	slots := o.plan.pat[idx]
 
 	// Skip clauses whose elements were already bound by earlier clauses
 	// (shared variables in chained pair declarations).
 	allBound := true
-	for _, n := range pc.Elems {
-		if _, ok := env[n]; !ok {
+	for _, s := range slots {
+		if !ctx.f.bound(s) {
 			allBound = false
 			break
 		}
 	}
 	if allBound {
-		if pc.Format != nil {
-			ctx.inPattern = true
-			ok := ctx.evalBool(env, pc.Format)
-			ctx.inPattern = false
-			if !ok {
-				return true
-			}
+		if pc.Format != nil && !ctx.patternHolds(pc.Format) {
+			return true
 		}
-		return o.matchPattern(ctx, idx+1, env, yield)
+		return o.matchPattern(ctx, idx+1, yield)
 	}
 
-	candidates := o.patternCandidates(ctx, pc, env)
-
+	d := ctx.domain(slots)
 	if pc.Quant == gospel.QAll {
 		// Bind the single element name to the set of all matching
 		// statements and continue.
 		var set []*ir.Stmt
-		for _, cand := range candidates {
-			ok := true
-			if pc.Format != nil {
-				ctx.inPattern = true
-				ok = ctx.evalBool(withBindings(env, cand), pc.Format)
-				ctx.inPattern = false
+		for i := 0; i < d.len(); i++ {
+			bound, _ := ctx.bindCandidate(d, slots, i)
+			if (pc.Format == nil || ctx.patternHolds(pc.Format)) && !d.loop {
+				set = append(set, d.stmts[i])
 			}
-			if ok && len(cand) == 1 {
-				for _, v := range cand {
-					if v.Kind == VStmt {
-						set = append(set, v.Stmt)
-					}
-				}
-			}
+			ctx.f.unbind(bound)
 		}
-		env2 := env.clone()
-		env2[pc.Elems[0]] = setVal(set)
-		return o.matchPattern(ctx, idx+1, env2, yield)
+		ctx.f.vals[slots[0]] = setVal(set)
+		r := o.matchPattern(ctx, idx+1, yield)
+		ctx.f.unbind(slots)
+		return r
 	}
 
-	for _, cand := range candidates {
-		env2 := withBindings(env, cand)
-		if pc.Format != nil {
-			ctx.inPattern = true
-			ok := ctx.evalBool(env2, pc.Format)
-			ctx.inPattern = false
-			if !ok {
-				continue
-			}
+	for i := 0; i < d.len(); i++ {
+		bound, ok := ctx.bindCandidate(d, slots, i)
+		if !ok {
+			continue
 		}
-		if !o.matchPattern(ctx, idx+1, env2, yield) {
+		if pc.Format != nil && !ctx.patternHolds(pc.Format) {
+			ctx.f.unbind(bound)
+			continue
+		}
+		more := o.matchPattern(ctx, idx+1, yield)
+		ctx.f.unbind(bound)
+		if !more {
 			return false
 		}
 	}
 	return true
 }
 
-func withBindings(env Env, b Env) Env {
-	e := env.clone()
-	for k, v := range b {
-		e[k] = v
-	}
-	return e
+// patternHolds evaluates a Code_Pattern format under the frame, counting
+// its comparisons as pattern checks.
+func (c *context) patternHolds(format gospel.Expr) bool {
+	c.inPattern = true
+	ok := c.evalBool(c.f, format)
+	c.inPattern = false
+	return ok
 }
 
-// patternCandidates enumerates candidate bindings for a pattern clause's
-// elements using the library's finder routines (find_statement,
-// find_nested_loops, ...). Bindings already in env constrain pairs.
-func (o *Optimizer) patternCandidates(ctx *context, pc gospel.PatternClause, env Env) []Env {
-	p := ctx.prog
-	if len(pc.Elems) == 1 {
-		name := pc.Elems[0]
-		kind, _ := o.Spec.DeclKind(name)
-		var out []Env
-		if kind == gospel.KStmt {
-			for _, s := range p.Stmts() {
-				out = append(out, Env{name: stmtVal(s)})
-			}
-		} else {
-			for _, l := range ir.Loops(p) {
-				out = append(out, Env{name: loopVal(l)})
-			}
-		}
-		return out
-	}
-	// Pair element: nested / tight / adjacent loops.
-	a, b := pc.Elems[0], pc.Elems[1]
-	kind, _ := o.Spec.DeclKind(a)
-	var pairs [][2]ir.Loop
-	switch kind {
-	case gospel.KNestedLoops:
-		pairs = ir.NestedPairs(p)
-	case gospel.KTightLoops:
-		pairs = ir.TightPairs(p)
-	case gospel.KAdjacentLoops:
-		pairs = ir.AdjacentPairs(p)
-	}
-	var out []Env
-	for _, pr := range pairs {
-		// Unify with existing bindings (chained pairs share names).
-		if v, ok := env[a]; ok && (v.Kind != VLoop || v.Loop.Head != pr[0].Head) {
-			continue
-		}
-		if v, ok := env[b]; ok && (v.Kind != VLoop || v.Loop.Head != pr[1].Head) {
-			continue
-		}
-		out = append(out, Env{a: loopVal(pr[0]), b: loopVal(pr[1])})
-	}
-	return out
+// domain is a pattern clause's candidate list, drawn straight from the
+// program with the library's finder routines (find_statement,
+// find_nested_loops, ...): statements, loops, or loop pairs.
+type domain struct {
+	stmts      []*ir.Stmt
+	loops      []ir.Loop
+	pairs      [][2]ir.Loop
+	loop, pair bool
 }
+
+func (d domain) len() int {
+	switch {
+	case d.pair:
+		return len(d.pairs)
+	case d.loop:
+		return len(d.loops)
+	}
+	return len(d.stmts)
+}
+
+// domain returns the candidate list of the pattern clause binding slots.
+func (c *context) domain(slots []int) domain {
+	kind := c.opt.plan.kind[slots[0]]
+	if len(slots) == 1 {
+		if kind == gospel.KStmt {
+			return domain{stmts: c.prog.Stmts()}
+		}
+		return domain{loops: c.loopList(), loop: true}
+	}
+	return domain{pairs: c.pairList(kind), pair: true}
+}
+
+// bindCandidate binds candidate i of d into the clause's slots and
+// returns the slots it bound. A loop pair unifies with loops already bound
+// by an earlier clause (chained pairs share names); on a mismatch nothing
+// is bound and ok is false.
+func (c *context) bindCandidate(d domain, slots []int, i int) (bound []int, ok bool) {
+	switch {
+	case d.pair:
+		pr := d.pairs[i]
+		a, b := slots[0], slots[1]
+		ab, bb := c.f.bound(a), c.f.bound(b)
+		if ab && !sameLoop(c.f.vals[a], pr[0]) || bb && !sameLoop(c.f.vals[b], pr[1]) {
+			return nil, false
+		}
+		switch {
+		case ab:
+			c.f.vals[b] = loopVal(pr[1])
+			return slots[1:2], true
+		case bb:
+			c.f.vals[a] = loopVal(pr[0])
+			return slots[0:1], true
+		}
+		c.f.vals[a], c.f.vals[b] = loopVal(pr[0]), loopVal(pr[1])
+		return slots[:2], true
+	case d.loop:
+		c.f.vals[slots[0]] = loopVal(d.loops[i])
+	default:
+		c.f.vals[slots[0]] = stmtVal(d.stmts[i])
+	}
+	return slots[:1], true
+}
+
+func sameLoop(v Value, l ir.Loop) bool { return v.Kind == VLoop && v.Loop.Head == l.Head }

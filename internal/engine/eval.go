@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/dep"
@@ -41,6 +42,77 @@ type context struct {
 	timed bool
 	// depNS accumulates nanoseconds spent in matchDepend for one search.
 	depNS int64
+
+	// Search state, reused across the searches of one run. f is the frame
+	// every clause binds into. cands is the candidate stack: each Depend
+	// clause pushes its compact candidate tuples above those of the
+	// clauses enclosing it and pops them on return. clauses holds each
+	// Depend clause's scratch (a clause is active at most once on the
+	// backtracking stack).
+	f        *frame
+	cands    []cval
+	seenCand map[candKey]struct{}
+	clauses  []clauseScratch
+	// searching marks the program as frozen: the loop and loop-pair
+	// finders' results are cached until the search ends.
+	searching bool
+	loops     []ir.Loop
+	loopsOK   bool
+	pairs     [3][][2]ir.Loop
+	pairsOK   [3]bool
+}
+
+// beginSearch readies the context for a search of the current program.
+func (c *context) beginSearch() {
+	if c.f == nil {
+		c.f = c.opt.plan.newFrame()
+		c.clauses = make([]clauseScratch, len(c.opt.Spec.Depends))
+	} else {
+		clear(c.f.vals)
+	}
+	c.flow = nil
+	c.depNS = 0
+	c.cands = c.cands[:0]
+	c.searching = true
+}
+
+// endSearch drops the finder caches: actions may now edit the program.
+func (c *context) endSearch() {
+	c.searching = false
+	c.loopsOK = false
+	c.pairsOK = [3]bool{}
+}
+
+// loopList returns ir.Loops of the program, cached while a search runs.
+func (c *context) loopList() []ir.Loop {
+	if !c.searching {
+		return ir.Loops(c.prog)
+	}
+	if !c.loopsOK {
+		c.loops, c.loopsOK = ir.Loops(c.prog), true
+	}
+	return c.loops
+}
+
+// pairList returns the loop pairs of a pairwise element kind, cached while
+// a search runs.
+func (c *context) pairList(kind gospel.ElemKind) [][2]ir.Loop {
+	var i int
+	var find func(*ir.Program) [][2]ir.Loop
+	switch kind {
+	case gospel.KNestedLoops:
+		i, find = 0, ir.NestedPairs
+	case gospel.KTightLoops:
+		i, find = 1, ir.TightPairs
+	case gospel.KAdjacentLoops:
+		i, find = 2, ir.AdjacentPairs
+	default:
+		return nil
+	}
+	if !c.pairsOK[i] {
+		c.pairs[i], c.pairsOK[i] = find(c.prog), true
+	}
+	return c.pairs[i]
 }
 
 func (c *context) countCheck() {
@@ -60,8 +132,8 @@ func (c *context) cfgFull() *cfg.Graph {
 
 // evalBool evaluates a boolean precondition expression. Unevaluable
 // conditions are false.
-func (c *context) evalBool(env Env, e gospel.Expr) bool {
-	v, err := c.eval(env, e)
+func (c *context) evalBool(f *frame, e gospel.Expr) bool {
+	v, err := c.eval(f, e)
 	if err != nil {
 		return false
 	}
@@ -69,21 +141,21 @@ func (c *context) evalBool(env Env, e gospel.Expr) bool {
 }
 
 // eval evaluates any GOSpeL expression to a runtime value.
-func (c *context) eval(env Env, e gospel.Expr) (Value, error) {
+func (c *context) eval(f *frame, e gospel.Expr) (Value, error) {
 	switch e := e.(type) {
 	case gospel.Num:
 		if n, err := strconv.ParseInt(e.Text, 10, 64); err == nil {
 			return numVal(n), nil
 		}
-		f, err := strconv.ParseFloat(e.Text, 64)
+		x, err := strconv.ParseFloat(e.Text, 64)
 		if err != nil {
 			return Value{}, errf("bad number %q", e.Text)
 		}
-		return opVal(ir.ConstOp(ir.FloatVal(f))), nil
+		return opVal(ir.ConstOp(ir.FloatVal(x))), nil
 	case gospel.Lit:
 		return litVal(e.Name), nil
 	case gospel.Ident:
-		if v, ok := env[e.Name]; ok {
+		if v, ok := f.lookup(e.Name); ok {
 			return v, nil
 		}
 		if isLiteralName(e.Name) {
@@ -91,17 +163,17 @@ func (c *context) eval(env Env, e gospel.Expr) (Value, error) {
 		}
 		return Value{}, errf("unbound name %s", e.Name)
 	case gospel.Attr:
-		return c.evalAttr(env, e)
+		return c.evalAttr(f, e)
 	case gospel.Call:
-		return c.evalCall(env, e)
+		return c.evalCall(f, e)
 	case gospel.Not:
-		v, err := c.eval(env, e.E)
+		v, err := c.eval(f, e.E)
 		if err != nil {
 			return Value{}, err
 		}
 		return boolVal(!(v.Kind == VBool && v.Bool)), nil
 	case gospel.Binary:
-		return c.evalBinary(env, e)
+		return c.evalBinary(f, e)
 	}
 	return Value{}, errf("unevaluable expression %s", e)
 }
@@ -116,8 +188,8 @@ var literalNames = map[string]bool{
 
 func isLiteralName(n string) bool { return literalNames[n] }
 
-func (c *context) evalAttr(env Env, e gospel.Attr) (Value, error) {
-	base, err := c.eval(env, e.Base)
+func (c *context) evalAttr(f *frame, e gospel.Attr) (Value, error) {
+	base, err := c.eval(f, e.Base)
 	if err != nil {
 		return Value{}, err
 	}
@@ -263,45 +335,48 @@ func operandTypeName(o ir.Operand) string {
 	return "none"
 }
 
-func (c *context) evalCall(env Env, e gospel.Call) (Value, error) {
+func (c *context) evalCall(f *frame, e gospel.Call) (Value, error) {
 	switch e.Fn {
 	case "flow_dep", "anti_dep", "out_dep", "ctrl_dep":
-		return c.evalDepPred(env, e)
+		return c.evalDepPred(f, e)
 	case "fused_dep":
-		return c.evalFusedDep(env, e)
+		return c.evalFusedDep(f, e)
 	case "mem", "nmem":
 		c.cost.MemChecks++
-		sv, err := c.eval(env, e.Args[0])
+		sv, err := c.eval(f, e.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
-		set, err := c.evalSet(env, e.Args[1])
+		setv, err := c.eval(f, e.Args[1])
 		if err != nil {
 			return Value{}, err
 		}
-		in := false
-		for _, m := range set {
-			if m == sv.Stmt {
-				in = true
-				break
+		var in bool
+		if setv.Kind == VLoop && setv.Loop.Valid(c.prog) {
+			in = setv.Loop.Contains(c.prog, sv.Stmt) // a position test
+		} else {
+			set, err := c.asSet(setv)
+			if err != nil {
+				return Value{}, err
 			}
+			in = slices.Contains(set, sv.Stmt)
 		}
 		if e.Fn == "nmem" {
 			in = !in
 		}
 		return boolVal(in), nil
 	case "path":
-		set, err := c.pathSet(env, e)
+		set, err := c.pathSet(f, e)
 		if err != nil {
 			return Value{}, err
 		}
 		return setVal(set), nil
 	case "inter", "union":
-		a, err := c.evalSet(env, e.Args[0])
+		a, err := c.evalSet(f, e.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
-		b, err := c.evalSet(env, e.Args[1])
+		b, err := c.evalSet(f, e.Args[1])
 		if err != nil {
 			return Value{}, err
 		}
@@ -328,11 +403,11 @@ func (c *context) evalCall(env Env, e gospel.Call) (Value, error) {
 		}
 		return setVal(out), nil
 	case "operand":
-		sv, err := c.eval(env, e.Args[0])
+		sv, err := c.eval(f, e.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
-		pv, err := c.eval(env, e.Args[1])
+		pv, err := c.eval(f, e.Args[1])
 		if err != nil {
 			return Value{}, err
 		}
@@ -345,7 +420,7 @@ func (c *context) evalCall(env Env, e gospel.Call) (Value, error) {
 		}
 		return opVal(*op), nil
 	case "type":
-		ov, err := c.eval(env, e.Args[0])
+		ov, err := c.eval(f, e.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
@@ -354,7 +429,7 @@ func (c *context) evalCall(env Env, e gospel.Call) (Value, error) {
 		}
 		return litVal(operandTypeName(ov.Op)), nil
 	case "itype":
-		ov, err := c.eval(env, e.Args[0])
+		ov, err := c.eval(f, e.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
@@ -363,7 +438,7 @@ func (c *context) evalCall(env Env, e gospel.Call) (Value, error) {
 		}
 		return boolVal(optlib.IntTyped(c.prog, ov.Op)), nil
 	case "trip":
-		lv, err := c.eval(env, e.Args[0])
+		lv, err := c.eval(f, e.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
@@ -384,16 +459,16 @@ func (c *context) evalCall(env Env, e gospel.Call) (Value, error) {
 		}
 		return numVal(n), nil
 	case "eval":
-		return c.evalEval(env, e.Args[0])
+		return c.evalEval(f, e.Args[0])
 	case "subst":
-		ov, err := c.eval(env, e.Args[0])
+		ov, err := c.eval(f, e.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
 		if ov.Kind != VOperand || !ov.Op.IsVar() {
 			return Value{}, errf("subst target must be a scalar variable operand")
 		}
-		repl, err := c.linearize(env, e.Args[1])
+		repl, err := c.linearize(f, e.Args[1])
 		if err != nil {
 			return Value{}, err
 		}
@@ -403,14 +478,14 @@ func (c *context) evalCall(env Env, e gospel.Call) (Value, error) {
 }
 
 // evalDepPred evaluates a fully-bound dependence predicate.
-func (c *context) evalDepPred(env Env, e gospel.Call) (Value, error) {
+func (c *context) evalDepPred(f *frame, e gospel.Call) (Value, error) {
 	c.cost.DepChecks++
 	kind := depKindOf(e.Fn)
-	src, err := c.eval(env, e.Args[0])
+	src, err := c.eval(f, e.Args[0])
 	if err != nil {
 		return Value{}, err
 	}
-	dst, err := c.eval(env, e.Args[1])
+	dst, err := c.eval(f, e.Args[1])
 	if err != nil {
 		return Value{}, err
 	}
@@ -418,38 +493,41 @@ func (c *context) evalDepPred(env Env, e gospel.Call) (Value, error) {
 		return Value{}, errf("%s needs two statements", e.Fn)
 	}
 	if e.CarriedBy != "" {
-		lv, ok := env[e.CarriedBy]
+		lv, ok := f.lookup(e.CarriedBy)
 		if !ok || lv.Kind != VLoop {
 			return Value{}, errf("carried(%s): not a bound loop", e.CarriedBy)
 		}
-		level := loopLevel(c.prog, src.Stmt, dst.Stmt, lv.Loop)
+		level := c.loopLevel(src.Stmt, dst.Stmt, lv.Loop)
 		if level == 0 {
 			return boolVal(false), nil
 		}
-		for _, d := range c.graph.Query(kind, src.Stmt, dst.Stmt, nil) {
-			if d.Carried && d.Level == level {
-				return boolVal(true), nil
-			}
-		}
-		return boolVal(false), nil
+		found := false
+		c.graph.Visit(kind, src.Stmt, dst.Stmt, nil, func(d *dep.Dependence) {
+			found = found || d.Carried && d.Level == level
+		})
+		return boolVal(found), nil
 	}
 	if e.Independent {
-		for _, d := range c.graph.Query(kind, src.Stmt, dst.Stmt, nil) {
-			if !d.Carried {
-				return boolVal(true), nil
-			}
-		}
-		return boolVal(false), nil
+		found := false
+		c.graph.Visit(kind, src.Stmt, dst.Stmt, nil, func(d *dep.Dependence) {
+			found = found || !d.Carried
+		})
+		return boolVal(found), nil
 	}
 	return boolVal(c.graph.Exists(kind, src.Stmt, dst.Stmt, e.Dir)), nil
 }
 
 // loopLevel returns the 1-based level of loop l among the common loops of
-// s and t, or 0 when l is not common to both.
-func loopLevel(p *ir.Program, s, t *ir.Stmt, l ir.Loop) int {
-	for i, cl := range ir.CommonLoops(p, s, t) {
-		if cl.Head == l.Head {
-			return i + 1
+// s and t (ir.CommonLoops, outermost first), or 0 when l is not common to
+// both.
+func (c *context) loopLevel(s, t *ir.Stmt, l ir.Loop) int {
+	level := 0
+	for _, cl := range c.loopList() {
+		if cl.Contains(c.prog, s) && cl.Contains(c.prog, t) {
+			level++
+			if cl.Head == l.Head {
+				return level
+			}
 		}
 	}
 	return 0
@@ -469,21 +547,21 @@ func depKindOf(fn string) dep.Kind {
 	panic("engine: bad dep predicate " + fn)
 }
 
-func (c *context) evalFusedDep(env Env, e gospel.Call) (Value, error) {
+func (c *context) evalFusedDep(f *frame, e gospel.Call) (Value, error) {
 	c.cost.DepChecks++
-	sm, err := c.eval(env, e.Args[0])
+	sm, err := c.eval(f, e.Args[0])
 	if err != nil {
 		return Value{}, err
 	}
-	sn, err := c.eval(env, e.Args[1])
+	sn, err := c.eval(f, e.Args[1])
 	if err != nil {
 		return Value{}, err
 	}
-	l1, err := c.eval(env, e.Args[2])
+	l1, err := c.eval(f, e.Args[2])
 	if err != nil {
 		return Value{}, err
 	}
-	l2, err := c.eval(env, e.Args[3])
+	l2, err := c.eval(f, e.Args[3])
 	if err != nil {
 		return Value{}, err
 	}
@@ -498,12 +576,12 @@ func (c *context) evalFusedDep(env Env, e gospel.Call) (Value, error) {
 	return boolVal(dirs.Intersect(want) != 0), nil
 }
 
-func (c *context) pathSet(env Env, e gospel.Call) ([]*ir.Stmt, error) {
-	av, err := c.eval(env, e.Args[0])
+func (c *context) pathSet(f *frame, e gospel.Call) ([]*ir.Stmt, error) {
+	av, err := c.eval(f, e.Args[0])
 	if err != nil {
 		return nil, err
 	}
-	bv, err := c.eval(env, e.Args[1])
+	bv, err := c.eval(f, e.Args[1])
 	if err != nil {
 		return nil, err
 	}
@@ -528,11 +606,18 @@ func (c *context) pathSet(env Env, e gospel.Call) ([]*ir.Stmt, error) {
 
 // evalSet evaluates a set expression: a loop (its body), an attribute
 // yielding a set, path(...), inter/union, or an `all`-bound variable.
-func (c *context) evalSet(env Env, e gospel.Expr) ([]*ir.Stmt, error) {
-	v, err := c.eval(env, e)
+func (c *context) evalSet(f *frame, e gospel.Expr) ([]*ir.Stmt, error) {
+	v, err := c.eval(f, e)
 	if err != nil {
 		return nil, err
 	}
+	return c.asSet(v)
+}
+
+// asSet converts an evaluated set expression to its statements. A loop's
+// body is a capacity-capped window of the program's statement list, so it
+// must be used (or copied) before the program changes.
+func (c *context) asSet(v Value) ([]*ir.Stmt, error) {
 	switch v.Kind {
 	case VSet:
 		return v.Set, nil
@@ -540,15 +625,16 @@ func (c *context) evalSet(env Env, e gospel.Expr) ([]*ir.Stmt, error) {
 		if !v.Loop.Valid(c.prog) {
 			return nil, errf("stale loop binding in set expression")
 		}
-		return v.Loop.Body(c.prog), nil
+		hi, ei := c.prog.Index(v.Loop.Head), c.prog.Index(v.Loop.End)
+		return c.prog.Stmts()[hi+1 : ei : ei], nil
 	}
 	return nil, errf("%s is not a set", v)
 }
 
 // evalEval implements eval(x): arithmetic over constant operands, or the
 // constant folding of a whole statement's right-hand side.
-func (c *context) evalEval(env Env, arg gospel.Expr) (Value, error) {
-	v, err := c.eval(env, arg)
+func (c *context) evalEval(f *frame, arg gospel.Expr) (Value, error) {
+	v, err := c.eval(f, arg)
 	if err != nil {
 		return Value{}, err
 	}
@@ -586,37 +672,37 @@ func numeric(v Value) (int64, error) {
 	return 0, errf("%s is not numeric", v)
 }
 
-func (c *context) evalBinary(env Env, e gospel.Binary) (Value, error) {
+func (c *context) evalBinary(f *frame, e gospel.Binary) (Value, error) {
 	switch e.Op {
 	case "and":
-		l, err := c.eval(env, e.L)
+		l, err := c.eval(f, e.L)
 		if err != nil || l.Kind != VBool {
 			return boolVal(false), err
 		}
 		if !l.Bool {
 			return boolVal(false), nil
 		}
-		r, err := c.eval(env, e.R)
+		r, err := c.eval(f, e.R)
 		if err != nil || r.Kind != VBool {
 			return boolVal(false), err
 		}
 		return boolVal(r.Bool), nil
 	case "or":
-		l, err := c.eval(env, e.L)
+		l, err := c.eval(f, e.L)
 		if err == nil && l.Kind == VBool && l.Bool {
 			return boolVal(true), nil
 		}
-		r, err := c.eval(env, e.R)
+		r, err := c.eval(f, e.R)
 		if err != nil {
 			return boolVal(false), nil
 		}
 		return boolVal(r.Kind == VBool && r.Bool), nil
 	case "+", "-", "*", "/", "mod":
-		l, err := c.eval(env, e.L)
+		l, err := c.eval(f, e.L)
 		if err != nil {
 			return Value{}, err
 		}
-		r, err := c.eval(env, e.R)
+		r, err := c.eval(f, e.R)
 		if err != nil {
 			return Value{}, err
 		}
@@ -649,11 +735,11 @@ func (c *context) evalBinary(env Env, e gospel.Binary) (Value, error) {
 	}
 	// Relational comparison.
 	c.countCheck()
-	l, err := c.eval(env, e.L)
+	l, err := c.eval(f, e.L)
 	if err != nil {
 		return Value{}, err
 	}
-	r, err := c.eval(env, e.R)
+	r, err := c.eval(f, e.R)
 	if err != nil {
 		return Value{}, err
 	}
@@ -743,7 +829,7 @@ func (c *context) compareValues(op string, l, r Value) (bool, error) {
 
 // linearize converts an arithmetic GOSpeL expression over variables and
 // constants into an affine ir.LinExpr (for subst replacements).
-func (c *context) linearize(env Env, e gospel.Expr) (ir.LinExpr, error) {
+func (c *context) linearize(f *frame, e gospel.Expr) (ir.LinExpr, error) {
 	switch e := e.(type) {
 	case gospel.Num:
 		n, err := strconv.ParseInt(e.Text, 10, 64)
@@ -752,8 +838,8 @@ func (c *context) linearize(env Env, e gospel.Expr) (ir.LinExpr, error) {
 		}
 		return ir.ConstExpr(n), nil
 	case gospel.Binary:
-		l, lerr := c.linearize(env, e.L)
-		r, rerr := c.linearize(env, e.R)
+		l, lerr := c.linearize(f, e.L)
+		r, rerr := c.linearize(f, e.R)
 		switch e.Op {
 		case "+":
 			if lerr == nil && rerr == nil {
@@ -775,7 +861,7 @@ func (c *context) linearize(env Env, e gospel.Expr) (ir.LinExpr, error) {
 		}
 		return ir.LinExpr{}, errf("non-affine substitution expression")
 	default:
-		v, err := c.eval(env, e)
+		v, err := c.eval(f, e)
 		if err != nil {
 			return ir.LinExpr{}, err
 		}

@@ -15,8 +15,12 @@ func evalCtx(t *testing.T, src string) (*context, *ir.Program) {
 	t.Helper()
 	p := frontend.MustParse(src)
 	o := &Optimizer{Spec: &gospel.Spec{Name: "T"}}
+	o.plan = newPlan(o.Spec)
 	return o.newContext(p, dep.Compute(p)), p
 }
+
+// bind binds env into a frame of the context's layout.
+func bind(ctx *context, env Env) *frame { return ctx.opt.frameOf(env) }
 
 func parseExpr(t *testing.T, src string) gospel.Expr {
 	t.Helper()
@@ -56,7 +60,7 @@ END`)
 		{"S.kind", "assign"},
 	}
 	for _, c := range cases {
-		v, err := ctx.eval(env, parseExpr(t, c.expr+" == "+c.expr).(gospel.Binary).L)
+		v, err := ctx.eval(bind(ctx, env), parseExpr(t, c.expr+" == "+c.expr).(gospel.Binary).L)
 		if err != nil {
 			t.Errorf("%s: %v", c.expr, err)
 			continue
@@ -67,24 +71,24 @@ END`)
 	}
 
 	// next/prev navigation.
-	next, err := ctx.eval(env, parseExpr(t, "S.next == S.next").(gospel.Binary).L)
+	next, err := ctx.eval(bind(ctx, env), parseExpr(t, "S.next == S.next").(gospel.Binary).L)
 	if err != nil || next.Stmt != p.At(1) {
 		t.Errorf("S.next = %v, %v", next, err)
 	}
-	if _, err := ctx.eval(env, parseExpr(t, "S.prev == S.prev").(gospel.Binary).L); err != nil {
+	if _, err := ctx.eval(bind(ctx, env), parseExpr(t, "S.prev == S.prev").(gospel.Binary).L); err != nil {
 		// S is the first statement: prev is nil but not an error.
 		t.Errorf("S.prev: %v", err)
 	}
 	// head/end of the loop.
-	head, err := ctx.eval(env, parseExpr(t, "L.head == L.head").(gospel.Binary).L)
+	head, err := ctx.eval(bind(ctx, env), parseExpr(t, "L.head == L.head").(gospel.Binary).L)
 	if err != nil || head.Stmt != loops[0].Head {
 		t.Errorf("L.head = %v, %v", head, err)
 	}
 	// Unknown attribute errors.
-	if _, err := ctx.eval(env, gospel.Attr{Base: gospel.Ident{Name: "S"}, Name: "zzz"}); err == nil {
+	if _, err := ctx.eval(bind(ctx, env), gospel.Attr{Base: gospel.Ident{Name: "S"}, Name: "zzz"}); err == nil {
 		t.Error("unknown statement attribute must error")
 	}
-	if _, err := ctx.eval(env, gospel.Attr{Base: gospel.Ident{Name: "L"}, Name: "zzz"}); err == nil {
+	if _, err := ctx.eval(bind(ctx, env), gospel.Attr{Base: gospel.Ident{Name: "L"}, Name: "zzz"}); err == nil {
 		t.Error("unknown loop attribute must error")
 	}
 }
@@ -103,18 +107,18 @@ ENDDO
 END`)
 	loops := ir.Loops(p)
 	env := Env{"L1": loopVal(loops[0]), "L2": loopVal(loops[1])}
-	v, err := ctx.eval(env, gospel.Attr{Base: gospel.Ident{Name: "L1"}, Name: "next"})
+	v, err := ctx.eval(bind(ctx, env), gospel.Attr{Base: gospel.Ident{Name: "L1"}, Name: "next"})
 	if err != nil || v.Kind != VLoop || v.Loop.Head != loops[1].Head {
 		t.Errorf("L1.next = %v, %v", v, err)
 	}
-	v, err = ctx.eval(env, gospel.Attr{Base: gospel.Ident{Name: "L2"}, Name: "prev"})
+	v, err = ctx.eval(bind(ctx, env), gospel.Attr{Base: gospel.Ident{Name: "L2"}, Name: "prev"})
 	if err != nil || v.Loop.Head != loops[0].Head {
 		t.Errorf("L2.prev = %v, %v", v, err)
 	}
-	if _, err := ctx.eval(env, gospel.Attr{Base: gospel.Ident{Name: "L1"}, Name: "prev"}); err == nil {
+	if _, err := ctx.eval(bind(ctx, env), gospel.Attr{Base: gospel.Ident{Name: "L1"}, Name: "prev"}); err == nil {
 		t.Error("no previous loop: must error")
 	}
-	if _, err := ctx.eval(env, gospel.Attr{Base: gospel.Ident{Name: "L2"}, Name: "next"}); err == nil {
+	if _, err := ctx.eval(bind(ctx, env), gospel.Attr{Base: gospel.Ident{Name: "L2"}, Name: "next"}); err == nil {
 		t.Error("no next loop: must error")
 	}
 }
@@ -179,12 +183,12 @@ ACTION delete(M);`)
 	}
 	cond := spec.Depends[0].Sets
 	env["M"] = stmtVal(p.At(1))
-	v, err := ctx.eval(env, cond)
+	v, err := ctx.eval(bind(ctx, env), cond)
 	if err != nil || !v.Bool {
 		t.Errorf("middle statement must be on the path: %v %v", v, err)
 	}
 	env["M"] = stmtVal(p.At(0))
-	v, _ = ctx.eval(env, cond)
+	v, _ = ctx.eval(bind(ctx, env), cond)
 	if v.Bool {
 		t.Error("endpoints are excluded from path()")
 	}
@@ -213,7 +217,7 @@ ACTION delete(S);`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := ctx.eval(env, spec.Depends[0].Sets)
+	v, err := ctx.eval(bind(ctx, env), spec.Depends[0].Sets)
 	if err != nil || !v.Bool {
 		t.Errorf("union/inter/nmem: %v %v", v, err)
 	}
@@ -305,14 +309,14 @@ func TestSetOpcVariants(t *testing.T) {
 
 func TestEvalEvalForms(t *testing.T) {
 	ctx, p := evalCtx(t, "PROGRAM p\nINTEGER x\nx = 3 * 4\nx = x\nEND")
-	fold, err := ctx.evalEval(Env{"S": stmtVal(p.At(0))}, gospel.Ident{Name: "S"})
+	fold, err := ctx.evalEval(bind(ctx, Env{"S": stmtVal(p.At(0))}), gospel.Ident{Name: "S"})
 	if err != nil || fold.Op.Val.AsInt() != 12 {
 		t.Errorf("eval(S) = %v, %v", fold, err)
 	}
-	if _, err := ctx.evalEval(Env{"S": stmtVal(p.At(1))}, gospel.Ident{Name: "S"}); err == nil {
+	if _, err := ctx.evalEval(bind(ctx, Env{"S": stmtVal(p.At(1))}), gospel.Ident{Name: "S"}); err == nil {
 		t.Error("eval of a copy must fail")
 	}
-	v, err := ctx.evalEval(Env{}, gospel.Num{Text: "5"})
+	v, err := ctx.evalEval(bind(ctx, Env{}), gospel.Num{Text: "5"})
 	if err != nil || v.Op.Val.AsInt() != 5 {
 		t.Errorf("eval(5) = %v, %v", v, err)
 	}

@@ -89,6 +89,7 @@ func (o *Optimizer) applyRegions(ctx stdcontext.Context, p *ir.Program, pt regio
 		// the merged result.
 		o2 := &Optimizer{
 			Spec:            o.Spec,
+			plan:            o.plan,
 			Strategy:        o.Strategy,
 			RecomputeDeps:   o.RecomputeDeps,
 			IncrementalDeps: o.IncrementalDeps,
@@ -213,7 +214,8 @@ func (o *Optimizer) applySharded(ctx stdcontext.Context, p *ir.Program, workers 
 		if len(done) >= o.MaxApplications {
 			return done, optlib.ErrIterationLimit
 		}
-		sig := envSignature(chosen)
+		var psig pointSig
+		sig := string(psig.of(chosen))
 		seen[sig] = true
 		ectx := o.newContext(p, g)
 		start := log.Mark()
@@ -255,57 +257,57 @@ func (o *Optimizer) applySharded(ctx stdcontext.Context, p *ir.Program, workers 
 // searches. An atomic high-water mark lets shards abandon candidates
 // beyond an already-found index — it prunes work but cannot change the
 // winner.
-func (o *Optimizer) searchSharded(p *ir.Program, g *dep.Graph, seen map[string]bool, workers int) (Env, bool) {
+func (o *Optimizer) searchSharded(p *ir.Program, g *dep.Graph, seen map[string]bool, workers int) (*frame, bool) {
 	if len(o.Spec.Patterns) == 0 {
 		return o.searchSeq(p, g, seen)
 	}
-	pc := o.Spec.Patterns[0]
+	pc, slots := o.Spec.Patterns[0], o.plan.pat[0]
 	if pc.Quant == gospel.QAll {
 		// The clause binds one set over the whole program; there is no
 		// candidate list to shard.
 		return o.searchSeq(p, g, seen)
 	}
 	ectx := o.newContext(p, g)
-	cands := o.patternCandidates(ectx, pc, Env{})
-	if len(cands) < 2*workers {
+	ectx.beginSearch()
+	defer ectx.endSearch()
+	cands := ectx.domain(slots)
+	if cands.len() < 2*workers {
 		return o.searchSeq(p, g, seen)
 	}
 	type shard struct {
 		idx   int
-		env   Env
+		f     frame
 		cost  Cost
 		stats dep.Stats
 	}
 	var best atomic.Int64
-	best.Store(int64(len(cands)))
+	best.Store(int64(cands.len()))
 	results := par.Map(workers, workers, func(s int) shard {
-		lo := s * len(cands) / workers
-		hi := (s + 1) * len(cands) / workers
+		lo := s * cands.len() / workers
+		hi := (s + 1) * cands.len() / workers
 		res := shard{idx: -1}
 		sg := g.Shadow()
 		wctx := &context{prog: p, graph: sg, cost: &res.cost, opt: o}
+		wctx.beginSearch()
+		var psig pointSig
 		for i := lo; i < hi; i++ {
 			if int64(i) >= best.Load() {
 				break
 			}
-			env := withBindings(Env{}, cands[i])
-			if pc.Format != nil {
-				wctx.inPattern = true
-				ok := wctx.evalBool(env, pc.Format)
-				wctx.inPattern = false
-				if !ok {
-					continue
-				}
-			}
+			bound, _ := wctx.bindCandidate(cands, slots, i)
 			hit := false
-			o.matchPattern(wctx, 1, env, func(e Env) bool {
-				if seen[envSignature(e)] {
-					return true
-				}
-				res.idx, res.env = i, e.clone()
-				hit = true
-				return false
-			})
+			if pc.Format == nil || wctx.patternHolds(pc.Format) {
+				o.matchPattern(wctx, 1, func(f *frame) bool {
+					if seen[string(psig.of(f))] {
+						return true
+					}
+					res.idx = i
+					res.f.copyFrom(f)
+					hit = true
+					return false
+				})
+			}
+			wctx.f.unbind(bound)
 			if hit {
 				for {
 					b := best.Load()
@@ -316,6 +318,7 @@ func (o *Optimizer) searchSharded(p *ir.Program, g *dep.Graph, seen map[string]b
 				break
 			}
 		}
+		wctx.endSearch()
 		res.stats = sg.Stats()
 		return res
 	})
@@ -330,22 +333,15 @@ func (o *Optimizer) searchSharded(p *ir.Program, g *dep.Graph, seen map[string]b
 	if win < 0 {
 		return nil, false
 	}
-	return results[win].env, true
+	return &results[win].f, true
 }
 
 // searchSeq is one sequential first-fresh-match search, used when the
 // candidate list is too small (or unshardable) to be worth fanning out.
-func (o *Optimizer) searchSeq(p *ir.Program, g *dep.Graph, seen map[string]bool) (Env, bool) {
-	ctx := o.newContext(p, g)
-	var chosen Env
-	found := false
-	o.matchPattern(ctx, 0, Env{}, func(e Env) bool {
-		if seen[envSignature(e)] {
-			return true
-		}
-		chosen = e.clone()
-		found = true
-		return false
-	})
-	return chosen, found
+func (o *Optimizer) searchSeq(p *ir.Program, g *dep.Graph, seen map[string]bool) (*frame, bool) {
+	chosen := &frame{}
+	if !o.firstFresh(o.newContext(p, g), seen, &pointSig{}, chosen) {
+		return nil, false
+	}
+	return chosen, true
 }

@@ -83,18 +83,12 @@ func (v Value) String() string {
 	return "<none>"
 }
 
-// Env is the binding environment of one match attempt: element variables,
-// position variables and action-bound names.
+// Env is one application point's bindings by name: element variables and
+// position variables. It is only the type at the package boundary
+// (Preconditions, ApplyAt, Signature, interactive sessions): the search
+// itself binds into a slot-indexed frame laid out at Compile and converts
+// to an Env only when it yields a point to a caller.
 type Env map[string]Value
-
-// clone returns a shallow copy (values are immutable once bound).
-func (e Env) clone() Env {
-	c := make(Env, len(e))
-	for k, v := range e {
-		c[k] = v
-	}
-	return c
-}
 
 // Cost tallies the work an optimizer performs, in the units the paper uses
 // for its cost experiments: the number of checks needed to determine

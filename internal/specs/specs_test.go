@@ -35,10 +35,10 @@ func TestLoadUnknown(t *testing.T) {
 	}
 }
 
-func apply(t *testing.T, name, src string) (*ir.Program, int) {
+func apply(t *testing.T, name, src string, opts ...engine.Option) (*ir.Program, int) {
 	t.Helper()
 	p := frontend.MustParse(src)
-	o := MustCompile(name)
+	o := MustCompile(name, opts...)
 	apps, err := o.ApplyAll(p)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
