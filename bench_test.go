@@ -609,72 +609,6 @@ func BenchmarkCompiledFixpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkRegionParallel measures the region-parallel fixpoint against the
-// plain sequential driver on the hompack-ish workload, at worker counts
-// 1, 2, 4 and 8. The gated CI comparison is workers4 vs workers1; the
-// byte-identity differential across every worker count runs as part of
-// setup — the speedup is only worth measuring if the outputs agree.
-func BenchmarkRegionParallel(b *testing.B) {
-	raw, err := os.ReadFile(filepath.Join("examples", "programs", "hompack-ish.mf"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	template, err := ParseProgram(string(raw))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pipeline := []string{"CTP", "CFO", "DCE", "FUS", "PAR"}
-	seq := func(p *ir.Program) {
-		for _, name := range pipeline {
-			o := specs.MustCompile(name)
-			if _, err := o.ApplyAll(p); err != nil {
-				b.Fatalf("%s: %v", name, err)
-			}
-		}
-	}
-	parl := func(w int) func(p *ir.Program) {
-		return func(p *ir.Program) {
-			for _, name := range pipeline {
-				o := specs.MustCompile(name)
-				if _, _, err := o.ApplyAllRegions(context.Background(), p, w); err != nil {
-					b.Fatalf("workers=%d %s: %v", w, name, err)
-				}
-			}
-		}
-	}
-
-	want := template.Clone()
-	seq(want)
-	for _, w := range []int{1, 2, 4, 8} {
-		got := template.Clone()
-		parl(w)(got)
-		if got.String() != want.String() {
-			b.Fatalf("workers=%d output diverges from sequential on hompack-ish", w)
-		}
-	}
-
-	for _, bc := range []struct {
-		name string
-		run  func(p *ir.Program)
-	}{
-		{"sequential", seq},
-		{"workers1", parl(1)},
-		{"workers2", parl(2)},
-		{"workers4", parl(4)},
-		{"workers8", parl(8)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportMetric(float64(template.Len()), "stmts")
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p := template.Clone()
-				b.StartTimer()
-				bc.run(p)
-			}
-		})
-	}
-}
-
 // BenchmarkGenerateCode measures emitting Go source for the whole suite.
 func BenchmarkGenerateCode(b *testing.B) {
 	var sp []*gospel.Spec

@@ -65,7 +65,6 @@ func main() {
 		specFiles   = flag.String("spec", "", "comma-separated GOSpeL specification files to apply after -opts")
 		workers     = flag.Int("workers", 0, "worker pool size for multi-program batch runs (0 = GOMAXPROCS)")
 		maxIter     = flag.Int("maxiter", 0, "cap applications per optimization (0 = optlib default, 1000); hitting the cap with work remaining reports the iteration-limit error")
-		regionW     = flag.Int("region-workers", 0, "region-parallel workers per fixpoint (0 or 1 = sequential; the optimized output is byte-identical at any setting)")
 		traceFile   = flag.String("trace", "", "write the optimization span trees as JSON to this file ('-' for stderr)")
 		logfmt      = flag.String("logfmt", "text", "per-pass report format: text (NAME: N application(s)) or json (structured slog records)")
 		submitURL   = flag.String("submit", "", "optd base URL: submit each program as a durable batch job instead of optimizing locally")
@@ -339,7 +338,7 @@ low for the program), and exits 1.`)
 			}
 		}
 		if art != nil {
-			r.text, r.out, r.err = nativeRun(art, order, string(src), *maxIter, *regionW, *minif, *run, vals, report)
+			r.text, r.out, r.err = nativeRun(art, order, string(src), *maxIter, *minif, *run, vals, report)
 			return r
 		}
 		p, err := genesis.ParseProgram(string(src))
@@ -350,7 +349,7 @@ low for the program), and exits 1.`)
 		if *traceFile != "" {
 			r.tracer = obs.NewTracer(obs.Collect())
 		}
-		if r.err = pipeline(p, effectiveOpts, *specFiles, *maxIter, *regionW, report, r.tracer); r.err != nil {
+		if r.err = pipeline(p, effectiveOpts, *specFiles, *maxIter, report, r.tracer); r.err != nil {
 			return r
 		}
 		if *minif {
@@ -401,7 +400,7 @@ low for the program), and exits 1.`)
 // applications (0 = the optlib default); a capped pass still reports its
 // count before the iteration-limit error propagates. A non-nil tracer
 // records one span tree per fixpoint run.
-func pipeline(p *ir.Program, optsFlag, specFiles string, maxIter, regionWorkers int, report func(name string, n int), tracer *obs.Tracer) error {
+func pipeline(p *ir.Program, optsFlag, specFiles string, maxIter int, report func(name string, n int), tracer *obs.Tracer) error {
 	copts := []genesis.Option{}
 	if maxIter > 0 {
 		copts = append(copts, genesis.WithMaxApplications(maxIter))
@@ -409,19 +408,12 @@ func pipeline(p *ir.Program, optsFlag, specFiles string, maxIter, regionWorkers 
 	if tracer != nil {
 		copts = append(copts, genesis.WithTracer(tracer))
 	}
-	applyAll := func(o *genesis.Optimizer) (int, error) {
-		if regionWorkers > 1 {
-			n, _, err := o.ApplyAllParallel(context.Background(), p, regionWorkers)
-			return n, err
-		}
-		return o.ApplyAll(p)
-	}
 	for _, name := range splitList(optsFlag) {
 		o, err := genesis.BuiltIn(name, copts...)
 		if err != nil {
 			return err
 		}
-		n, err := applyAll(o)
+		n, err := o.ApplyAll(p)
 		report(name, n)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
@@ -444,7 +436,7 @@ func pipeline(p *ir.Program, optsFlag, specFiles string, maxIter, regionWorkers 
 		if err != nil {
 			return err
 		}
-		n, err := applyAll(o)
+		n, err := o.ApplyAll(p)
 		report(spec.Name(), n)
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.Name(), err)
@@ -520,7 +512,7 @@ func nativeArtifact(engineFlag, dir, optsFlag, specFiles string) (*nativecache.A
 // nativeRun optimizes one program through a compiled artifact — in-process
 // when the artifact is a loaded plugin, through its runner binary otherwise
 // — reporting per-pass counts exactly like the interpreted pipeline.
-func nativeRun(art *nativecache.Artifact, order []string, src string, maxIter, regionWorkers int, wantMiniF, runProg bool, vals []ir.Value, report func(name string, n int)) (text string, out []ir.Value, err error) {
+func nativeRun(art *nativecache.Artifact, order []string, src string, maxIter int, wantMiniF, runProg bool, vals []ir.Value, report func(name string, n int)) (text string, out []ir.Value, err error) {
 	if art.InProcess() {
 		p, err := optlib.ParseMiniF(src)
 		if err != nil {
@@ -529,11 +521,9 @@ func nativeRun(art *nativecache.Artifact, order []string, src string, maxIter, r
 		passes := make([]optlib.NamedApply, len(order))
 		for i, name := range order {
 			fn, _ := art.Func(name) // Ensure built the artifact over exactly these names
-			// Only built-in specs are provably region-eligible; -spec file
-			// passes keep the sequential loop.
-			passes[i] = optlib.NamedApply{Name: name, Apply: fn, ParallelSafe: specs.RegionSafe(name)}
+			passes[i] = optlib.NamedApply{Name: name, Apply: fn}
 		}
-		counts, perr := optlib.Pipeline(p, passes, optlib.Limits{MaxIterations: maxIter, Parallel: regionWorkers})
+		counts, perr := optlib.Pipeline(p, passes, optlib.Limits{MaxIterations: maxIter})
 		for _, c := range counts {
 			report(c.Name, c.Applications)
 		}

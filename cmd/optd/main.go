@@ -120,7 +120,6 @@ func main() {
 		cacheN    = flag.Int("cache", 256, "result cache entries (0 disables)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		maxIter   = flag.Int("maxiter", 0, "default per-pass application cap (0 = optlib default, 1000)")
-		regionW   = flag.Int("region-workers", 0, "default region-parallel workers per request (0 or 1 = sequential; output is byte-identical at any setting)")
 		maxBody   = flag.Int64("max-body", 1<<20, "max request body bytes")
 		sessions  = flag.Int("sessions", 64, "max live constructor sessions")
 		ttl       = flag.Duration("session-ttl", 30*time.Minute, "idle session lifetime")
@@ -222,7 +221,6 @@ func main() {
 		CacheEntries:        cacheEntries,
 		RequestTimeout:      *timeout,
 		MaxIterations:       *maxIter,
-		RegionWorkers:       *regionW,
 		MaxBodyBytes:        *maxBody,
 		MaxSessions:         *sessions,
 		SessionTTL:          *ttl,

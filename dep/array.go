@@ -1,9 +1,6 @@
 package dep
 
-import (
-	"repro/internal/par"
-	"repro/ir"
-)
+import "repro/ir"
 
 // access is one array reference in a statement: a read or a write.
 type access struct {
@@ -31,30 +28,6 @@ type access struct {
 // tests every pair.
 func (g *Graph) arrayDeps(lt *loopTable, edited map[*ir.Stmt]bool) {
 	byName, names := g.collectArrayGroups(edited)
-	if g.workers > 1 && len(names) > 1 {
-		// Fan the per-array pair tests out over the pool: one array's tests
-		// never look at another array's accesses, so sharding the name list
-		// and buffering each shard's edges produces the same edge set; the
-		// canonical layout erases the insertion order.
-		shards := g.workers
-		if shards > len(names) {
-			shards = len(names)
-		}
-		bufs := par.Map(shards, g.workers, func(sh int) []Dependence {
-			var buf []Dependence
-			emit := func(d Dependence) { buf = append(buf, d) }
-			for i := sh; i < len(names); i += shards {
-				g.pairTests(byName[names[i]], lt, edited, emit)
-			}
-			return buf
-		})
-		for _, buf := range bufs {
-			for _, d := range buf {
-				g.add(d)
-			}
-		}
-		return
-	}
 	// Deterministic order: the dependence list's order feeds candidate
 	// enumeration and therefore the cost experiments.
 	for _, name := range names {

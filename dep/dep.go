@@ -245,13 +245,6 @@ type Graph struct {
 	// atomic) counters: a Graph, like a Program, is not safe for concurrent
 	// use, and each fixpoint pass owns its graph.
 	stats Stats
-
-	// workers, when > 1, lets the heavy phases of Compute/Update — the
-	// per-name dataflow re-analysis and the pairwise array subscript
-	// tests — fan out over the par pool. The edge SET is identical either
-	// way and the layout imposes a total canonical order, so the resulting
-	// graph is byte-identical to a sequential build. Set via SetWorkers.
-	workers int
 }
 
 // edgeClass is the lookup-counter class of an edge: the Stats field its
@@ -303,33 +296,6 @@ func (s Stats) Sub(o Stats) Stats {
 // Stats returns the graph's traffic counters (monotonic over the graph's
 // lifetime; recomputations do not reset them).
 func (g *Graph) Stats() Stats { return g.stats }
-
-// AddStats folds a delta (typically a worker shadow's traffic) into the
-// graph's counters.
-func (g *Graph) AddStats(s Stats) { g.stats = g.stats.Add(s) }
-
-// SetWorkers sets how many goroutines Compute/Update may use for the
-// dependence derivation itself (n <= 1 keeps everything sequential). The
-// graph stays single-owner: parallelism is internal to one maintenance
-// call and the result is identical to the sequential build.
-func (g *Graph) SetWorkers(n int) { g.workers = n }
-
-// Shadow returns a read-only view of the graph for a concurrent search
-// worker: it shares the edge store and its buckets (immutable while no
-// mutation runs) but carries private, zeroed stats so workers never race on
-// the counters. The caller merges each shadow's Stats back with AddStats
-// once the parallel section ends. Shadows must not be used across a
-// program mutation or an Update/Compute on the parent.
-func (g *Graph) Shadow() *Graph {
-	s := *g
-	s.stats = Stats{}
-	for k, ok := range s.kindsOK {
-		if !ok {
-			s.byKind[k] = nil // built privately, not into the shared array
-		}
-	}
-	return &s
-}
 
 // countLookup counts one examined candidate edge under its class.
 func (g *Graph) countLookup(id int32) {

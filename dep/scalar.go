@@ -1,9 +1,6 @@
 package dep
 
-import (
-	"repro/internal/dataflow"
-	"repro/internal/par"
-)
+import "repro/internal/dataflow"
 
 // scalarDepsFrom derives flow, anti and output dependences between scalar
 // accesses from the dataflow facts. Each dependence is classified as
@@ -13,40 +10,12 @@ import (
 // name-restricted (dataflow.Workspace.AnalyzeNames): only dependences among
 // its collected defs/uses are produced, which is how incremental updates
 // rebuild just the dirty names.
-//
-// With workers > 1 the pair loops fan out over the pool: the analysis is
-// shared read-only, each shard strides the outer access index and buffers
-// its edges privately, and the buffers merge through g.add in shard order.
-// Every edge is emitted in exactly one outer iteration, so the shards emit
-// disjoint edge sets and the canonical layout erases the merge order.
 func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
-	if g.workers > 1 {
-		shards := g.workers
-		bufs := par.Map(shards, g.workers, func(sh int) []Dependence {
-			var buf []Dependence
-			g.scalarDepsShard(a, lt, sh, shards, func(d Dependence) { buf = append(buf, d) })
-			return buf
-		})
-		for _, buf := range bufs {
-			for _, d := range buf {
-				g.add(d)
-			}
-		}
-		return
-	}
-	g.scalarDepsShard(a, lt, 0, 1, g.add)
-}
-
-// scalarDepsShard emits shard sh of shards of the scalar dependences: the
-// pair loops skip outer indices not congruent to sh, and the entry-edge
-// pass runs in shard 0. It only reads the graph (Prog, Entry), never
-// mutates it, so shards may run concurrently over one shared analysis.
-func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards int, emit func(Dependence)) {
 	p := g.Prog
 
 	// Flow dependences: def d at s reaching scalar use u at t.
 	for ui, u := range a.Uses {
-		if ui%shards != sh || u.IsArray {
+		if u.IsArray {
 			continue
 		}
 		t := p.At(u.StmtIdx)
@@ -60,7 +29,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 			}
 			common := lt.common(d.StmtIdx, u.StmtIdx)
 			if a.ReachInF[u.StmtIdx].Has(di) && d.StmtIdx < u.StmtIdx {
-				emit(Dependence{
+				g.add(Dependence{
 					Kind: Flow, Src: s, Dst: t, Var: d.Name,
 					Vec: eqVector(len(common)), SrcPos: 1, DstPos: u.Pos,
 				})
@@ -72,7 +41,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 				endIdx := p.Index(l.End)
 				headIdx := p.Index(l.Head)
 				if a.ReachInF[endIdx].Has(di) && a.ExposedUses[headIdx].Has(ui) {
-					emit(Dependence{
+					g.add(Dependence{
 						Kind: Flow, Src: s, Dst: t, Var: d.Name,
 						Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: u.Pos,
 						Carried: true, Level: k + 1,
@@ -84,7 +53,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 
 	// Anti dependences: scalar use u at s reaching a scalar def at t.
 	for di, d := range a.Defs {
-		if di%shards != sh || d.IsArray {
+		if d.IsArray {
 			continue
 		}
 		t := p.At(d.StmtIdx)
@@ -98,7 +67,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 			}
 			common := lt.common(u.StmtIdx, d.StmtIdx)
 			if a.UseReachInF[d.StmtIdx].Has(ui) && u.StmtIdx < d.StmtIdx {
-				emit(Dependence{
+				g.add(Dependence{
 					Kind: Anti, Src: s, Dst: t, Var: d.Name,
 					Vec: eqVector(len(common)), SrcPos: u.Pos, DstPos: 1,
 				})
@@ -110,7 +79,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 				endIdx := p.Index(l.End)
 				headIdx := p.Index(l.Head)
 				if a.UseReachInF[endIdx].Has(ui) && a.ExposedDefs[headIdx].Has(di) {
-					emit(Dependence{
+					g.add(Dependence{
 						Kind: Anti, Src: s, Dst: t, Var: d.Name,
 						Vec: carriedVector(len(common), k), SrcPos: u.Pos, DstPos: 1,
 						Carried: true, Level: k + 1,
@@ -122,7 +91,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 
 	// Output dependences: scalar def at s reaching a scalar redefinition at t.
 	for dj, e := range a.Defs {
-		if dj%shards != sh || e.IsArray {
+		if e.IsArray {
 			continue
 		}
 		t := p.At(e.StmtIdx)
@@ -136,7 +105,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 			}
 			common := lt.common(d.StmtIdx, e.StmtIdx)
 			if a.ReachInF[e.StmtIdx].Has(di) && d.StmtIdx < e.StmtIdx {
-				emit(Dependence{
+				g.add(Dependence{
 					Kind: Output, Src: s, Dst: t, Var: d.Name,
 					Vec: eqVector(len(common)), SrcPos: 1, DstPos: 1,
 				})
@@ -148,7 +117,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 				endIdx := p.Index(l.End)
 				headIdx := p.Index(l.Head)
 				if a.ReachInF[endIdx].Has(di) && a.ExposedDefs[headIdx].Has(dj) {
-					emit(Dependence{
+					g.add(Dependence{
 						Kind: Output, Src: s, Dst: t, Var: d.Name,
 						Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: 1,
 						Carried: true, Level: k + 1,
@@ -163,10 +132,10 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 	// "definition" that propagation-style optimizations must respect.
 	a.UpwardExposed.ForEach(func(ui int) {
 		u := a.Uses[ui]
-		if ui%shards != sh || u.IsArray {
+		if u.IsArray {
 			return
 		}
-		emit(Dependence{
+		g.add(Dependence{
 			Kind: Flow, Src: g.Entry, Dst: p.At(u.StmtIdx), Var: u.Name,
 			SrcPos: 0, DstPos: u.Pos,
 		})
@@ -177,7 +146,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 	// i+1 conflict. The general loops above cover distinct statements; the
 	// self-output case (di == dj) needs its own pass.
 	for di, d := range a.Defs {
-		if di%shards != sh || d.IsArray {
+		if d.IsArray {
 			continue
 		}
 		s := p.At(d.StmtIdx)
@@ -186,7 +155,7 @@ func (g *Graph) scalarDepsShard(a *dataflow.Analysis, lt *loopTable, sh, shards 
 			endIdx := p.Index(l.End)
 			headIdx := p.Index(l.Head)
 			if a.ReachInF[endIdx].Has(di) && a.ExposedDefs[headIdx].Has(di) {
-				emit(Dependence{
+				g.add(Dependence{
 					Kind: Output, Src: s, Dst: s, Var: d.Name,
 					Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: 1,
 					Carried: true, Level: k + 1,

@@ -239,8 +239,7 @@ func mutate(r *rand.Rand, p *ir.Program) {
 // TestUpdateMatchesCompute is the differential property test for incremental
 // dependence maintenance: after every primitive mutation of a generated
 // program, Graph.Update driven by the change journal must produce a graph
-// identical — edges and canonical order both — to a fresh Compute. Every
-// third seed maintains the graph with sharded edge generation.
+// identical — edges and canonical order both — to a fresh Compute.
 func TestUpdateMatchesCompute(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		p := proggen.Generate(seed, proggen.Config{})
@@ -249,9 +248,6 @@ func TestUpdateMatchesCompute(t *testing.T) {
 			t.Fatalf("seed %d: fresh program already had a journal", seed)
 		}
 		g := Compute(p)
-		if seed%3 == 0 {
-			g.SetWorkers(2)
-		}
 		r := rand.New(rand.NewSource(seed * 7919))
 		probe := rand.New(rand.NewSource(seed))
 		for step := 0; step < 40; step++ {
@@ -522,25 +518,6 @@ func stmtName(g *Graph, s *ir.Stmt) string {
 		return fmt.Sprintf("deleted S%d", s.ID)
 	}
 	return fmt.Sprintf("S%d", s.ID)
-}
-
-// TestComputeWorkersIdentical: a sharded build (workers = 2) yields the
-// graph a sequential one does — every edge field, canonical order and the
-// sort-time removal of duplicate edges included.
-func TestComputeWorkersIdentical(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		p := proggen.Generate(seed, proggen.Config{})
-		build := func(workers int) *Graph {
-			g := &Graph{Prog: p, Entry: &ir.Stmt{Kind: ir.SAssign}}
-			g.SetWorkers(workers)
-			g.recompute()
-			return g
-		}
-		one, two := build(1), build(2)
-		if a, b := one.Deps(), two.Deps(); !sameEdges(one, a, two, b) {
-			t.Fatalf("seed %d: workers 1 and 2 disagree\nworkers 1:\n%s\nworkers 2:\n%s", seed, one, two)
-		}
-	}
 }
 
 // TestUpdateReclassifiesNewArrayName: the frontend accepts a name used both

@@ -33,7 +33,10 @@ func main() {
 		{"LUR", "FUS", "INX"},
 		{"LUR", "INX", "FUS"},
 	}
-	seen := map[string][]string{}
+	// Group the orderings by the program they produce, listing the groups
+	// in order of first appearance so the output is reproducible.
+	group := map[string]int{}
+	var groups [][]string
 	for _, order := range orders {
 		p, counts, err := genesis.Optimize(w.Source, order...)
 		if err != nil {
@@ -42,10 +45,16 @@ func main() {
 		key := strings.Join(order, "→")
 		fmt.Printf("%-13s FUS=%d INX=%d LUR=%d  (%d statements)\n",
 			key, counts["FUS"], counts["INX"], counts["LUR"], p.Len())
-		seen[p.String()] = append(seen[p.String()], key)
+		i, ok := group[p.String()]
+		if !ok {
+			i = len(groups)
+			group[p.String()] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], key)
 	}
-	fmt.Printf("\n%d orderings produced %d distinct programs:\n", len(orders), len(seen))
-	for _, names := range seen {
+	fmt.Printf("\n%d orderings produced %d distinct programs:\n", len(orders), len(groups))
+	for _, names := range groups {
 		fmt.Println("  ", strings.Join(names, ", "))
 	}
 }

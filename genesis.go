@@ -214,18 +214,6 @@ func (o *Optimizer) ApplyAllCtx(ctx context.Context, p *ir.Program) (int, error)
 	return len(apps), err
 }
 
-// ApplyAllParallel is ApplyAllCtx with region-parallel execution: with
-// workers > 1 the fixpoint runs dependence-disjoint regions of the program
-// concurrently, or shards the candidate search across workers when the
-// program does not partition. The optimized program is byte-identical to
-// ApplyAll at every worker count. It returns the application count and the
-// number of regions the dependence partitioner found (1 when the program
-// did not split).
-func (o *Optimizer) ApplyAllParallel(ctx context.Context, p *ir.Program, workers int) (int, int, error) {
-	apps, rep, err := o.inner.ApplyAllRegions(ctx, p, workers)
-	return len(apps), rep.Regions, err
-}
-
 // Points returns the number of application points in the current program
 // without transforming it.
 func (o *Optimizer) Points(p *ir.Program) int {

@@ -16,6 +16,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/ir"
@@ -85,7 +86,24 @@ func build(p *ir.Program, br brackets, withBackEdges bool) *Graph {
 		}
 		g.Succ[i] = buf[start:len(buf):len(buf)]
 	}
+	// The predecessor lists share one flat array too. Each list's length
+	// first counts its node's in-degree (no in-degree exceeds the edge
+	// count, so the counting slices stay inside pbuf); the lists are then
+	// laid out back to back and filled in ascending source order.
+	pbuf := make([]int, len(buf))
 	g.Pred = make([][]int, n)
+	for _, t := range buf {
+		g.Pred[t] = pbuf[:len(g.Pred[t])+1]
+	}
+	off := 0
+	for t, pred := range g.Pred {
+		d := len(pred)
+		g.Pred[t] = nil
+		if d > 0 {
+			g.Pred[t] = pbuf[off : off : off+d]
+		}
+		off += d
+	}
 	for i, succ := range g.Succ {
 		for _, t := range succ {
 			g.Pred[t] = append(g.Pred[t], i)
@@ -197,21 +215,32 @@ func (g *Graph) Reachable() []bool {
 // ReachableFrom returns the statements reachable from index i by following
 // successor edges (i itself included).
 func (g *Graph) ReachableFrom(i int) []bool {
-	return g.flood(i, g.Succ)
+	seen, _ := g.ReachInto(i, true, nil, nil)
+	return seen
 }
 
 // Reaches returns the statements from which index i is reachable
 // (i itself included).
 func (g *Graph) Reaches(i int) []bool {
-	return g.flood(i, g.Pred)
+	seen, _ := g.ReachInto(i, false, nil, nil)
+	return seen
 }
 
-func (g *Graph) flood(start int, edges [][]int) []bool {
-	seen := make([]bool, len(edges))
-	if start < 0 || start >= len(edges) {
-		return seen
+// ReachInto is ReachableFrom (forward) or Reaches (backward) into the
+// caller's storage: seen is resized to the graph and overwritten, stack is
+// scratch. It returns both for reuse, so repeated queries allocate nothing
+// once the buffers have grown.
+func (g *Graph) ReachInto(start int, forward bool, seen []bool, stack []int) ([]bool, []int) {
+	edges := g.Pred
+	if forward {
+		edges = g.Succ
 	}
-	stack := []int{start}
+	seen = slices.Grow(seen[:0], len(edges))[:len(edges)]
+	clear(seen)
+	if start < 0 || start >= len(edges) {
+		return seen, stack
+	}
+	stack = append(slices.Grow(stack[:0], len(edges)), start) // each node is pushed at most once
 	seen[start] = true
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
@@ -223,7 +252,7 @@ func (g *Graph) flood(start int, edges [][]int) []bool {
 			}
 		}
 	}
-	return seen
+	return seen, stack
 }
 
 // Block is a maximal straight-line run of statements: a basic block of the

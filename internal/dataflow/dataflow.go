@@ -70,7 +70,7 @@ type Analysis struct {
 	// liveOut[i] = names live at exit of statement i. Nothing on the
 	// dependence path reads liveness, so it is computed on the first
 	// LiveOutOf call rather than by Analyze; the Once makes that safe when
-	// sharded edge generation shares one analysis across goroutines.
+	// several goroutines read one analysis.
 	liveOnce sync.Once
 	liveOut  []map[string]bool
 }

@@ -60,6 +60,15 @@ type context struct {
 	loopsOK   bool
 	pairs     [3][][2]ir.Loop
 	pairsOK   [3]bool
+	// path caches path(pathFrom, pathTo) while a search runs: AGS tests
+	// path(Si, Sj) in its pattern and again in its Depend section, and a
+	// use at two operand positions revisits the same pair in CPP. pathFrom
+	// is nil when nothing is cached. fromA and toB are the reachability
+	// vectors' reused storage; reachStack is their flood's scratch.
+	pathFrom, pathTo *ir.Stmt
+	path             []*ir.Stmt
+	fromA, toB       []bool
+	reachStack       []int
 }
 
 // beginSearch readies the context for a search of the current program.
@@ -73,6 +82,7 @@ func (c *context) beginSearch() {
 	c.flow = nil
 	c.depNS = 0
 	c.cands = c.cands[:0]
+	c.pathFrom, c.pathTo, c.path = nil, nil, nil
 	c.searching = true
 }
 
@@ -81,6 +91,7 @@ func (c *context) endSearch() {
 	c.searching = false
 	c.loopsOK = false
 	c.pairsOK = [3]bool{}
+	c.pathFrom, c.pathTo, c.path = nil, nil, nil
 }
 
 // loopList returns ir.Loops of the program, cached while a search runs.
@@ -588,10 +599,14 @@ func (c *context) pathSet(f *frame, e gospel.Call) ([]*ir.Stmt, error) {
 	if av.Kind != VStmt || bv.Kind != VStmt || av.Stmt == nil || bv.Stmt == nil {
 		return nil, errf("path() needs two statements")
 	}
+	if c.searching && c.pathFrom == av.Stmt && c.pathTo == bv.Stmt {
+		return c.path, nil
+	}
 	g := c.cfgFull()
 	ai, bi := c.prog.Index(av.Stmt), c.prog.Index(bv.Stmt)
-	fromA := g.ReachableFrom(ai)
-	toB := g.Reaches(bi)
+	c.fromA, c.reachStack = g.ReachInto(ai, true, c.fromA, c.reachStack)
+	c.toB, c.reachStack = g.ReachInto(bi, false, c.toB, c.reachStack)
+	fromA, toB := c.fromA, c.toB
 	var out []*ir.Stmt
 	for i := 0; i < c.prog.Len(); i++ {
 		if i == ai || i == bi {
@@ -600,6 +615,9 @@ func (c *context) pathSet(f *frame, e gospel.Call) ([]*ir.Stmt, error) {
 		if fromA[i] && toB[i] {
 			out = append(out, c.prog.At(i))
 		}
+	}
+	if c.searching {
+		c.pathFrom, c.pathTo, c.path = av.Stmt, bv.Stmt, out
 	}
 	return out, nil
 }

@@ -23,8 +23,6 @@ var libraryDirs = []string{
 	"internal/frontend",
 	"internal/gospel",
 	"internal/handopt",
-	"internal/par",
-	"internal/region",
 	"ir",
 	"optlib",
 }

@@ -59,12 +59,6 @@ type OptimizeRequest struct {
 	// explicit comma-separated permutation of opts. The ?order= query
 	// parameter overrides this field.
 	Order string `json:"order,omitempty"`
-	// Parallel is the region-parallel worker count: values above 1 run
-	// each pass's fixpoint region-parallel with that many workers, 0
-	// inherits the server default, 1 forces sequential. The optimized
-	// program is byte-identical at every setting — only latency varies.
-	// The ?parallel= query parameter overrides this field.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // PassResult reports one optimization pass of a pipeline.
@@ -202,7 +196,6 @@ func (req *OptimizeRequest) cacheKey() string {
 	parts = append(parts, fmt.Sprint(req.MaxIterations))
 	parts = append(parts, fmt.Sprint(req.Recompute == nil || *req.Recompute))
 	parts = append(parts, req.Order)
-	parts = append(parts, fmt.Sprint(req.Parallel))
 	return CacheKey(parts...)
 }
 
@@ -255,23 +248,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 	root := trace.SpanFrom(r.Context())
 	if len(order) > 0 {
 		root.Set("order", req.Order)
-	}
-
-	// The worker count also resolves before the cache key: the effective
-	// value is part of the content address.
-	if q := r.URL.Query().Get("parallel"); q != "" {
-		v, perr := strconv.Atoi(q)
-		if perr != nil || v < 0 {
-			return failf(http.StatusBadRequest, "bad_request",
-				"parallel must be a non-negative integer, got %q", q)
-		}
-		req.Parallel = v
-	}
-	if req.Parallel == 0 {
-		req.Parallel = s.cfg.RegionWorkers
-	}
-	if req.Parallel > 1 {
-		root.Set("parallel", strconv.Itoa(req.Parallel))
 	}
 
 	var key string
@@ -349,32 +325,16 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 	}
 	parseUS := time.Since(t0).Microseconds()
 
-	maxRegions := 0
 	for _, ps := range passes {
 		current = ps.name
 		sp, _ := trace.Start(r.Context(), "pass."+ps.name)
-		var apps []engine.Application
-		var err error
-		if req.Parallel > 1 {
-			var rep engine.RegionReport
-			apps, rep, err = ps.opt.ApplyAllRegions(r.Context(), prog, req.Parallel)
-			s.metrics.RegionObserved(rep)
-			if rep.Regions > maxRegions {
-				maxRegions = rep.Regions
-			}
-			sp.Set("regions", strconv.Itoa(rep.Regions))
-		} else {
-			apps, err = ps.opt.ApplyAllCtx(r.Context(), prog)
-		}
+		apps, err := ps.opt.ApplyAllCtx(r.Context(), prog)
 		sp.Set("applications", strconv.Itoa(len(apps)))
 		sp.End()
 		if err != nil {
 			sp.SetError(err.Error())
 			return s.classify(err, current, len(apps))
 		}
-	}
-	if req.Parallel > 1 {
-		w.Header().Set(RegionsHeader, strconv.Itoa(maxRegions))
 	}
 
 	resp := OptimizeResponse{

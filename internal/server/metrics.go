@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/codegen"
-	"repro/internal/engine"
 	"repro/internal/farm"
 	"repro/internal/jobs"
 	"repro/internal/nativecache"
@@ -104,20 +103,6 @@ type Metrics struct {
 	NativeServedSubprocess atomic.Int64
 	NativeCompileSeconds   *obs.Histogram
 	nativeOn               atomic.Bool
-
-	// Region-parallel execution telemetry. regionOn gates the
-	// JSON/Prometheus sections (set on the first pass that runs with
-	// workers > 1, so sequential-only servers keep their exact output).
-	// RegionRuns counts passes that executed region-at-a-time (Tier A) and
-	// RegionRegions the regions they ran; RegionSharded counts passes that
-	// ran whole-program with a sharded candidate search instead;
-	// RegionFallbacks counts partitioned attempts abandoned to the
-	// sequential rerun (a region hit the application cap).
-	RegionRuns      atomic.Int64
-	RegionRegions   atomic.Int64
-	RegionSharded   atomic.Int64
-	RegionFallbacks atomic.Int64
-	regionOn        atomic.Bool
 
 	// Pass-ordering advisor telemetry. advisorOn gates the JSON/Prometheus
 	// sections (set when the server constructs the advisor). The decision
@@ -402,20 +387,6 @@ func (m *Metrics) PassDone(spec string, applications int, d time.Duration) {
 // PassObserved folds one pass's full observability counters into the
 // process-wide totals and the per-pass latency histogram. It has the shape
 // of the engine's OnPassStats hook.
-// RegionObserved folds one region-parallel pass report into the counters.
-func (m *Metrics) RegionObserved(rep engine.RegionReport) {
-	m.regionOn.Store(true)
-	if rep.Sharded {
-		m.RegionSharded.Add(1)
-	} else {
-		m.RegionRuns.Add(1)
-		m.RegionRegions.Add(int64(rep.Regions))
-	}
-	if rep.Fallback {
-		m.RegionFallbacks.Add(1)
-	}
-}
-
 func (m *Metrics) PassObserved(ps obs.PassStats) {
 	m.PassDone(ps.Spec, ps.Applications, ps.Duration)
 	m.PatternChecks.Add(ps.PatternChecks)
@@ -533,14 +504,6 @@ func (m *Metrics) Snapshot() map[string]any {
 				"subprocess": m.NativeServedSubprocess.Load(),
 			},
 			"loaded": loaded,
-		}
-	}
-	if m.regionOn.Load() {
-		snap["region"] = map[string]any{
-			"parallel_passes": m.RegionRuns.Load(),
-			"regions":         m.RegionRegions.Load(),
-			"sharded_passes":  m.RegionSharded.Load(),
-			"fallbacks":       m.RegionFallbacks.Load(),
 		}
 	}
 	if m.advisorOn.Load() {
@@ -720,16 +683,6 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 		for _, spec := range specsSorted {
 			pw.IntSample("optd_native_spec_loaded", []obs.Label{obs.L("spec", spec), obs.L("mode", loaded[spec])}, 1)
 		}
-	}
-
-	if m.regionOn.Load() {
-		pw.Header("optd_region_passes_total", "Region-parallel pass executions by path.", "counter")
-		pw.IntSample("optd_region_passes_total", []obs.Label{obs.L("path", "regions")}, m.RegionRuns.Load())
-		pw.IntSample("optd_region_passes_total", []obs.Label{obs.L("path", "sharded")}, m.RegionSharded.Load())
-		pw.Header("optd_region_regions_total", "Regions executed across region-parallel passes.", "counter")
-		pw.IntSample("optd_region_regions_total", nil, m.RegionRegions.Load())
-		pw.Header("optd_region_fallbacks_total", "Partitioned attempts abandoned to the sequential rerun.", "counter")
-		pw.IntSample("optd_region_fallbacks_total", nil, m.RegionFallbacks.Load())
 	}
 
 	if m.advisorOn.Load() {

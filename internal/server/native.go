@@ -161,7 +161,7 @@ func (s *Server) tryNative(ctx context.Context, req *OptimizeRequest, wantTrace 
 	}
 	if art.InProcess() {
 		sp, ctx := trace.Start(ctx, "native.plugin")
-		resp, nerr := s.runNativePlugin(ctx, art, req.Source, passNames, maxIter, req.Parallel)
+		resp, nerr := s.runNativePlugin(ctx, art, req.Source, passNames, maxIter)
 		if nerr != nil {
 			sp.SetError(nerr.err.Error())
 		}
@@ -179,7 +179,7 @@ func (s *Server) tryNative(ctx context.Context, req *OptimizeRequest, wantTrace 
 	return resp, nerr, true
 }
 
-func (s *Server) runNativePlugin(ctx context.Context, art *nativecache.Artifact, source string, passNames []string, maxIter, parallel int) (*OptimizeResponse, *nativeError) {
+func (s *Server) runNativePlugin(ctx context.Context, art *nativecache.Artifact, source string, passNames []string, maxIter int) (*OptimizeResponse, *nativeError) {
 	t0 := time.Now()
 	prog, err := frontend.Parse(source)
 	if err != nil {
@@ -189,12 +189,9 @@ func (s *Server) runNativePlugin(ctx context.Context, art *nativecache.Artifact,
 	passes := make([]optlib.NamedApply, len(passNames))
 	for i, name := range passNames {
 		fn, _ := art.Func(name) // Covers checked by the caller
-		// Built-in passes get the region fast path when their spec proves
-		// region-eligible; inline specs compiled into an artifact keep the
-		// sequential loop (RegionSafe only knows the built-ins).
-		passes[i] = optlib.NamedApply{Name: name, Apply: fn, ParallelSafe: specs.RegionSafe(name)}
+		passes[i] = optlib.NamedApply{Name: name, Apply: fn}
 	}
-	counts, err := optlib.PipelineCtx(ctx, prog, passes, optlib.Limits{MaxIterations: maxIter, Parallel: parallel})
+	counts, err := optlib.PipelineCtx(ctx, prog, passes, optlib.Limits{MaxIterations: maxIter})
 	results := make([]PassResult, len(counts))
 	for i, ct := range counts {
 		results[i] = PassResult{Name: ct.Name, Applications: ct.Applications, DurationUS: ct.Duration.Microseconds()}
@@ -215,10 +212,8 @@ func (s *Server) runNativePlugin(ctx context.Context, art *nativecache.Artifact,
 	}, nil
 }
 
-// runNativeSubprocess always runs the pipeline sequentially: the runner
-// binary predates the parallel knob, and shipping a worker count across
-// the process boundary buys nothing until the runner protocol grows one —
-// the result is byte-identical either way.
+// runNativeSubprocess runs the pipeline through the artifact's runner
+// binary.
 func (s *Server) runNativeSubprocess(ctx context.Context, art *nativecache.Artifact, source string, passNames []string, maxIter int) (*OptimizeResponse, *nativeError) {
 	t0 := time.Now()
 	res, err := art.RunPipeline(ctx, source, passNames, maxIter)

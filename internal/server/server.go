@@ -49,13 +49,6 @@ type Config struct {
 	// MaxIterations is the per-pass application cap used when a request
 	// does not set its own; 0 selects the optlib default (1000).
 	MaxIterations int
-	// RegionWorkers is the default region-parallel worker count for
-	// optimization requests that do not choose their own (request body
-	// field parallel / query ?parallel=): values above 1 run each pass's
-	// fixpoint region-parallel with that many workers, 0 and 1 keep
-	// requests sequential. The optimized output is byte-identical at every
-	// setting; only latency varies.
-	RegionWorkers int
 	// MaxBodyBytes bounds request bodies; 0 selects 1 MiB.
 	MaxBodyBytes int64
 	// MaxSessions bounds live constructor sessions; 0 selects 64.
@@ -463,10 +456,6 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 // TraceIDHeader echoes the request's trace identity back to the client, so
 // a caller (or a smoke test) can immediately query /v1/traces/{id}.
 const TraceIDHeader = "X-Optd-Trace-Id"
-
-// RegionsHeader reports the largest dependence partition seen across the
-// passes of a region-parallel optimize request.
-const RegionsHeader = "X-Optd-Regions"
 
 // tracedRoute excludes the observability plumbing itself from the trace
 // store: scrapes and trace queries would otherwise crowd the sample with

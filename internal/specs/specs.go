@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gospel"
-	"repro/internal/region"
 )
 
 // CTP is Constant Propagation, after Figure 1 of the paper. Deviations:
@@ -570,13 +569,4 @@ func MustCompile(name string, opts ...engine.Option) *engine.Optimizer {
 		panic(err)
 	}
 	return o
-}
-
-// RegionSafe reports whether the named builtin specification is
-// region-eligible (region.EligibleSpec): running it one
-// dependence-disjoint region at a time reproduces the whole-program
-// fixpoint exactly. Unknown names are not safe.
-func RegionSafe(name string) bool {
-	s, err := Load(name)
-	return err == nil && region.EligibleSpec(s)
 }

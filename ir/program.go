@@ -206,19 +206,6 @@ func (p *Program) Copy(src, after *Stmt) *Stmt {
 	return p.InsertAfter(after, c)
 }
 
-// NextID returns the ID the next appended statement would receive.
-func (p *Program) NextID() int { return p.nextID }
-
-// SetNextID raises the ID counter to at least n. It never lowers the
-// counter, so existing IDs stay unique. Region-parallel execution uses it
-// to give each region's sub-program a disjoint ID range, making fresh IDs
-// deterministic regardless of which region allocates first.
-func (p *Program) SetNextID(n int) {
-	if n > p.nextID {
-		p.nextID = n
-	}
-}
-
 // Clone returns a deep copy of the whole program with the same statement
 // IDs, so that analyses keyed by ID can be compared across a snapshot.
 func (p *Program) Clone() *Program {

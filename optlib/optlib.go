@@ -475,14 +475,14 @@ type Limits struct {
 	// OnEvent, when non-nil, observes every fixpoint iteration. It is
 	// called synchronously from the loop; keep it cheap.
 	OnEvent func(FixpointEvent)
-	// Parallel sets the region-parallel worker count. Values above 1 let
-	// the pipeline run dependence-disjoint regions of the program
-	// concurrently for passes marked ParallelSafe, and fan the heavy
-	// dependence-maintenance phases out over the same pool for every pass.
-	// The optimized output is byte-identical at every worker count; 0 and 1
-	// select the plain sequential loop. Per-iteration OnEvent callbacks are
-	// suppressed while regions run concurrently.
-	Parallel int
+}
+
+// maxIterations resolves MaxIterations' zero default.
+func (l Limits) maxIterations() int {
+	if l.MaxIterations <= 0 {
+		return DefaultMaxIterations
+	}
+	return l.MaxIterations
 }
 
 // Fixpoint runs the Fig. 5 loop to fixpoint: search, apply, refresh
@@ -506,44 +506,11 @@ func Fixpoint(p *ir.Program, apply ApplyFunc, lim Limits) (int, error) {
 // This is the entry point long-running services use to bound per-request
 // optimization time.
 func FixpointCtx(ctx context.Context, p *ir.Program, apply ApplyFunc, lim Limits) (int, error) {
-	max := lim.MaxIterations
-	if max <= 0 {
-		max = DefaultMaxIterations
-	}
-	seen := map[string]bool{}
 	log, owned := p.EnsureLog()
 	if owned {
 		defer log.Detach()
 	}
-	g := dep.Compute(p)
-	g.SetWorkers(lim.Parallel)
-	n := 0
-	for i := 0; i < max; i++ {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		start := log.Mark()
-		if !apply(p, g, seen) {
-			if lim.OnEvent != nil {
-				lim.OnEvent(FixpointEvent{Iteration: i})
-			}
-			return n, nil
-		}
-		n++
-		incremental := false
-		if lim.FullRecompute {
-			g = dep.Compute(p)
-		} else {
-			incremental = g.Update(log.Since(start))
-		}
-		if lim.OnEvent != nil {
-			lim.OnEvent(FixpointEvent{Iteration: i, Applied: true, Incremental: incremental})
-		}
-		if owned {
-			log.Reset() // consumed; keep the journal from growing unboundedly
-		}
-	}
-	return n, ErrIterationLimit
+	return fixpointShared(ctx, p, dep.Compute(p), apply, owned, lim)
 }
 
 // Driver runs Fixpoint with default limits, preserving the original

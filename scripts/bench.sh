@@ -15,13 +15,6 @@
 #   scripts/bench.sh -advisor        # run BenchmarkAdvisorOrder and fail if
 #                                    # order=auto costs >5% over order=default
 #                                    # on an identical pipeline
-#   scripts/bench.sh -region         # run BenchmarkRegionParallel and fail
-#                                    # unless 4 region workers beat 1 by
-#                                    # >=1.4x on hompack-ish (the benchmark's
-#                                    # setup proves byte-identical output at
-#                                    # every worker count); SKIPs the speedup
-#                                    # gate on <2-core machines, where no
-#                                    # concurrency can pay for itself
 #
 # Environment:
 #   BENCH    regexp of benchmarks to run  (default: DriverFixpoint|ServerOptimize|JobsThroughput|ClusterForward|FarmThroughput)
@@ -38,7 +31,6 @@ BASELINE=
 OVERHEAD=
 NATIVE=
 ADVISOR=
-REGION=
 
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -46,8 +38,7 @@ while [ $# -gt 0 ]; do
     -overhead) OVERHEAD=1; shift ;;
     -native) NATIVE=1; shift ;;
     -advisor) ADVISOR=1; shift ;;
-    -region) REGION=1; shift ;;
-    *) echo "usage: scripts/bench.sh [-c baseline.txt] [-overhead] [-native] [-advisor] [-region]" >&2; exit 2 ;;
+    *) echo "usage: scripts/bench.sh [-c baseline.txt] [-overhead] [-native] [-advisor]" >&2; exit 2 ;;
   esac
 done
 
@@ -111,34 +102,6 @@ if [ -n "$ADVISOR" ]; then
       printf "advisor: default=%.0f ns/op auto=%.0f ns/op ratio=%.3f (best of %d)\n", def, auto, ratio, dc
       if (ratio > 1.05) { print "FAIL: order=auto overhead exceeds 5%"; exit 1 }
       print "OK: order=auto overhead within 5%"
-    }' "$OUT"
-  exit 0
-fi
-
-if [ -n "$REGION" ]; then
-  # Compare 1 vs 4 region workers on the hompack-ish pipeline. The speedup
-  # half of the gate only makes sense with real parallel hardware: on a
-  # single-core machine every extra worker is pure scheduling overhead, so
-  # the ratio check is skipped there — the byte-identity differential in
-  # the benchmark's setup (sequential vs workers 1, 2, 4 and 8) still runs
-  # and still fails the step on any divergence.
-  CORES=$( (nproc || getconf _NPROCESSORS_ONLN) 2>/dev/null | head -1 )
-  CORES=${CORES:-1}
-  if [ "$CORES" -lt 2 ]; then
-    echo "SKIP: region speedup gate needs >=2 cores (have $CORES); running determinism differential only"
-    go test -run '^$' -bench 'BenchmarkRegionParallel/workers4$' -benchtime 1x . | tee "$OUT"
-    exit 0
-  fi
-  run_gated 'BenchmarkRegionParallel/(workers1|workers4)$'
-  awk '
-    /RegionParallel\/workers1/ { if (!c1 || $3 < w1) w1 = $3; c1++ }
-    /RegionParallel\/workers4/ { if (!c4 || $3 < w4) w4 = $3; c4++ }
-    END {
-      if (c1 == 0 || c4 == 0) { print "region: missing benchmark output"; exit 1 }
-      ratio = w1 / w4
-      printf "region: workers1=%.0f ns/op workers4=%.0f ns/op speedup=%.2fx (best of %d)\n", w1, w4, ratio, c1
-      if (ratio < 1.4) { print "FAIL: region-parallel speedup below 1.4x at 4 workers"; exit 1 }
-      print "OK: region-parallel fixpoint is >=1.4x at 4 workers, byte-identical by construction"
     }' "$OUT"
   exit 0
 fi
