@@ -3,12 +3,15 @@
 package genesis
 
 import (
+	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/farm"
 	"repro/internal/specs"
 )
 
@@ -56,5 +59,43 @@ func TestHompackPipelineAllocations(t *testing.T) {
 	t.Logf("hompack-ish 5-pass pipeline: %.0f MB allocated", mb)
 	if mb > maxHompackAllocMB {
 		t.Fatalf("hompack-ish 5-pass pipeline allocated %.0f MB, limit %d MB", mb, maxHompackAllocMB)
+	}
+}
+
+// maxFarmAllocMB bounds the bytes farm.Checker.CheckSeed allocates per
+// aggregation-profile program (the default order under both default
+// variants, plus the reference and variant interpretations). It is about
+// 0.87 MB when each variant carries one maintained dependence graph through
+// its passes, and about 2.95 MB when every pass computed a fresh graph.
+const maxFarmAllocMB = 1.15
+
+// TestFarmCheckSeedAllocations guards that figure over the first 100 seeds
+// of the rand.NewSource(1) stream, the corpus the farm benchmark draws.
+func TestFarmCheckSeedAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping the farm allocation guard")
+	}
+	ch, err := farm.NewChecker(farm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	r := rand.New(rand.NewSource(1))
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = r.Int63()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, seed := range seeds {
+		if _, divs, err := ch.CheckSeed(context.Background(), "aggregation", seed, 0); err != nil || len(divs) > 0 {
+			t.Fatalf("seed %d: err %v, %d divergence(s)", seed, err, len(divs))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6 / n
+	t.Logf("farm CheckSeed: %.2f MB allocated per program", mb)
+	if mb > maxFarmAllocMB {
+		t.Fatalf("farm CheckSeed allocated %.2f MB per program, limit %.2f MB", mb, maxFarmAllocMB)
 	}
 }

@@ -258,24 +258,27 @@ func (s *Spec) GenerateGo(pkg string, emitMain bool) (string, error) {
 }
 
 // Optimize parses a program, applies the named built-in optimizations in
-// order (each to fixpoint) and returns the optimized program together with
-// the per-optimization application counts.
+// order (each to fixpoint, one dependence graph maintained across them) and
+// returns the optimized program together with the per-optimization
+// application counts.
 func Optimize(source string, optimizations ...string) (*ir.Program, map[string]int, error) {
 	p, err := ParseProgram(source)
 	if err != nil {
 		return nil, nil, err
 	}
 	counts := map[string]int{}
+	var g *dep.Graph
 	for _, name := range optimizations {
 		o, err := BuiltIn(name)
 		if err != nil {
 			return nil, nil, err
 		}
-		n, err := o.ApplyAll(p)
+		var apps []engine.Application
+		apps, g, err = o.inner.ApplyAllWith(context.Background(), p, g)
 		if err != nil {
 			return nil, nil, err
 		}
-		counts[name] += n
+		counts[name] += len(apps)
 	}
 	return p, counts, nil
 }

@@ -95,9 +95,19 @@ func (o *Optimizer) ApplyAll(p *ir.Program) ([]Application, error) {
 // between applications and stops early with ctx.Err() when the context is
 // cancelled or its deadline passes, returning the applications already
 // performed. The program is left in its partially-optimized (structurally
-// valid) state. This is the entry point request-scoped callers (the optd
-// service) use to bound optimization time.
-func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []Application, err error) {
+// valid) state. It computes its own dependence graph.
+func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) ([]Application, error) {
+	apps, _, err := o.ApplyAllWith(ctx, p, nil)
+	return apps, err
+}
+
+// ApplyAllWith is ApplyAllCtx against a caller-provided dependence graph,
+// which must describe p's current state; nil computes one. It returns the
+// graph that describes p afterwards, so a pass pipeline hands it to the
+// next pass instead of recomputing it: the maintained graph itself, the
+// last fresh one under WithoutIncremental, or nil when a pass run
+// WithoutRecompute applied anything and so left the graph stale.
+func (o *Optimizer) ApplyAllWith(ctx stdcontext.Context, p *ir.Program, g *dep.Graph) (apps []Application, out *dep.Graph, err error) {
 	traced := o.Tracer.Enabled()
 	root := o.Tracer.Start("pass", obs.String("spec", o.Spec.Name))
 	var done []Application
@@ -106,10 +116,13 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 	if owned {
 		defer log.Detach()
 	}
-	g := dep.Compute(p)
+	if g == nil {
+		g = dep.Compute(p)
+	}
 	// depAcc accumulates the stats of graphs already replaced by a full
-	// recomputation (WithoutIncremental mode), so the pass total is exact.
-	var depAcc dep.Stats
+	// recomputation (WithoutIncremental mode). It starts at minus the
+	// incoming graph's counters, so the pass reports only its own traffic.
+	depAcc := dep.Stats{}.Sub(g.Stats())
 	if o.OnPassDone != nil || o.OnPassStats != nil || traced {
 		t0 := time.Now()
 		costBase := o.cost
@@ -147,7 +160,7 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 	var psig pointSig
 	for {
 		if err := ctx.Err(); err != nil {
-			return done, err
+			return done, o.graphAfter(g, done), err
 		}
 		ectx.graph = g
 		var searchStart time.Time
@@ -181,7 +194,7 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 		if len(done) >= o.MaxApplications {
 			// A fresh point exists beyond the cap: a non-converging rewrite
 			// system or a cap set too low for the program.
-			return done, optlib.ErrIterationLimit
+			return done, o.graphAfter(g, done), optlib.ErrIterationLimit
 		}
 		sig := string(psig.buf)
 		seen[sig] = true
@@ -250,7 +263,16 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 			log.Reset()
 		}
 	}
-	return done, nil
+	return done, o.graphAfter(g, done), nil
+}
+
+// graphAfter is the graph ApplyAllWith hands back: g, or nil when the pass
+// ran WithoutRecompute and its applications left g stale.
+func (o *Optimizer) graphAfter(g *dep.Graph, done []Application) *dep.Graph {
+	if !o.RecomputeDeps && len(done) > 0 {
+		return nil
+	}
+	return g
 }
 
 // setSearchAttrs annotates a search span with the precondition-check and

@@ -2,6 +2,8 @@ package farm
 
 import (
 	"context"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -165,5 +167,27 @@ func TestRotated(t *testing.T) {
 		if got := strings.Join(rotated(in, c.n), ","); got != c.want {
 			t.Errorf("rotated(%d) = %s, want %s", c.n, got, c.want)
 		}
+	}
+}
+
+// TestCheckSeedLeavesNoGoroutines guards that a check is synchronous: after
+// CheckSeed returns, nothing it started still runs in the process. A
+// benchmark that calibrates its host between operations relies on the
+// process being idle there.
+func TestCheckSeedLeavesNoGoroutines(t *testing.T) {
+	c, err := NewChecker(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		seed := r.Int63()
+		if _, divs, err := c.CheckSeed(context.Background(), "aggregation", seed, 0); err != nil || len(divs) > 0 {
+			t.Fatalf("seed %d: err %v, %d divergence(s)", seed, err, len(divs))
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutine(s) before 50 CheckSeed calls, %d after", before, after)
 	}
 }

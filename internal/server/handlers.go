@@ -152,11 +152,7 @@ func (s *Server) compilePasses(req *OptimizeRequest, timing engine.PassTimingFun
 	}
 	var passes []pass
 	for _, name := range names {
-		spec, err := gospel.ParseAndCheck(name, specs.Sources[name])
-		if err != nil {
-			return nil, failf(http.StatusInternalServerError, "internal", "built-in %s failed to parse: %v", name, err)
-		}
-		o, err := engine.Compile(spec, eopts...)
+		o, err := engine.Compile(s.builtins[name], eopts...)
 		if err != nil {
 			return nil, failf(http.StatusInternalServerError, "internal", "built-in %s failed to compile: %v", name, err)
 		}
@@ -325,10 +321,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 	}
 	parseUS := time.Since(t0).Microseconds()
 
+	var g *dep.Graph // carried from pass to pass
 	for _, ps := range passes {
 		current = ps.name
 		sp, _ := trace.Start(r.Context(), "pass."+ps.name)
-		apps, err := ps.opt.ApplyAllCtx(r.Context(), prog)
+		var apps []engine.Application
+		apps, g, err = ps.opt.ApplyAllWith(r.Context(), prog, g)
 		sp.Set("applications", strconv.Itoa(len(apps)))
 		sp.End()
 		if err != nil {
@@ -415,11 +413,7 @@ func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) error {
 		if err := r.Context().Err(); err != nil {
 			return s.classify(err, name, 0)
 		}
-		spec, err := gospel.ParseAndCheck(name, specs.Sources[name])
-		if err != nil {
-			return failf(http.StatusInternalServerError, "internal", "built-in %s failed to parse: %v", name, err)
-		}
-		o, err := engine.Compile(spec)
+		o, err := engine.Compile(s.builtins[name])
 		if err != nil {
 			return failf(http.StatusInternalServerError, "internal", "built-in %s failed to compile: %v", name, err)
 		}

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/dep"
+	"repro/internal/engine"
 	"repro/internal/frontend"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -416,9 +418,11 @@ func (s *Server) runJobAttempt(ctx context.Context, j *jobs.Job) (json.RawMessag
 	}
 	parseUS := time.Since(t0).Microseconds()
 
+	var g *dep.Graph // carried from pass to pass
 	for _, ps := range passes {
 		sp, _ := trace.Start(ctx, "pass."+ps.name)
-		apps, err := ps.opt.ApplyAllCtx(ctx, prog)
+		var apps []engine.Application
+		apps, g, err = ps.opt.ApplyAllWith(ctx, prog, g)
 		sp.Set("applications", strconv.Itoa(len(apps)))
 		sp.End()
 		if err != nil {

@@ -30,9 +30,11 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/cluster"
+	"repro/internal/gospel"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/specs"
 	"repro/internal/trace"
 )
 
@@ -182,6 +184,10 @@ type Server struct {
 	traces   *trace.Store // nil when Config.TraceStore < 0
 	farm     *farmState
 	mux      *http.ServeMux
+	// builtins holds every built-in spec, parsed and checked once in New
+	// and shared read-only by all requests; each request still compiles
+	// its own optimizers, because the engine options are per request.
+	builtins map[string]*gospel.Spec
 
 	mu       sync.RWMutex // guards draining against in-flight accounting
 	draining bool
@@ -196,11 +202,20 @@ type Server struct {
 // requeued up front.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	builtins := make(map[string]*gospel.Spec, len(specs.Sources))
+	for name, src := range specs.Sources {
+		spec, err := gospel.ParseAndCheck(name, src)
+		if err != nil {
+			return nil, fmt.Errorf("server: built-in %s: %w", name, err)
+		}
+		builtins[name] = spec
+	}
 	s := &Server{
-		cfg:     cfg,
-		limiter: par.NewLimiter(cfg.MaxConcurrent),
-		cache:   NewCache(cfg.CacheEntries),
-		metrics: newMetrics(),
+		cfg:      cfg,
+		limiter:  par.NewLimiter(cfg.MaxConcurrent),
+		cache:    NewCache(cfg.CacheEntries),
+		metrics:  newMetrics(),
+		builtins: builtins,
 	}
 	s.sessions = newSessionStore(cfg.MaxSessions, cfg.SessionTTL, s.metrics)
 	if cfg.TraceStore >= 0 {
