@@ -19,6 +19,8 @@ func (o *Optimizer) execActions(ctx *context, f *frame, actions []gospel.Action)
 }
 
 func (o *Optimizer) execAction(ctx *context, f *frame, a gospel.Action) error {
+	mark := len(ctx.ops)
+	defer func() { ctx.ops = ctx.ops[:mark] }()
 	switch a := a.(type) {
 	case gospel.DeleteAction:
 		sv, err := ctx.eval(f, a.Target)
@@ -142,7 +144,7 @@ func (o *Optimizer) execModify(ctx *context, f *frame, a gospel.ModifyAction) er
 		// Journal the pre-image first: substStmt can mutate partially before
 		// discovering an unrepresentable occurrence and erroring out.
 		ctx.prog.NoteModified(sv.Stmt)
-		return substStmt(sv.Stmt, val.Subst)
+		return substStmt(sv.Stmt, val.Subst())
 	}
 
 	stmt, slot, field, err := o.resolveLvalue(ctx, f, a.Target)
@@ -159,7 +161,7 @@ func (o *Optimizer) execModify(ctx *context, f *frame, a gospel.ModifyAction) er
 		ctx.prog.NoteModified(stmt)
 		switch val.Kind {
 		case VOperand:
-			*op = val.Op.Clone()
+			*op = val.Op().Clone()
 		case VNum:
 			*op = ir.IntOp(val.Num)
 		default:
@@ -171,7 +173,7 @@ func (o *Optimizer) execModify(ctx *context, f *frame, a gospel.ModifyAction) er
 			return errf("modify: opcode value must be a literal")
 		}
 		ctx.prog.NoteModified(stmt)
-		return setOpc(stmt, val.Lit)
+		return setOpc(stmt, val.Lit())
 	}
 	return errf("modify: unsupported target")
 }
@@ -210,10 +212,10 @@ func (o *Optimizer) resolveLvalue(ctx *context, f *frame, target gospel.Expr) (*
 		case VStmt:
 			stmt = base.Stmt
 		case VLoop:
-			if !base.Loop.Valid(ctx.prog) {
+			if !base.Loop().Valid(ctx.prog) {
 				return nil, 0, "", errf("modify: stale loop binding")
 			}
-			stmt = base.Loop.Head
+			stmt = base.Stmt
 		default:
 			return nil, 0, "", errf("modify: target base must be a statement or loop")
 		}

@@ -79,8 +79,8 @@ func (o *Optimizer) matchDepend(ctx *context, idx int, yield func(*frame) bool) 
 		for i := 0; i < n; i++ {
 			t := ctx.tuple(base, i, w)
 			ctx.bindTuple(sc.slots, t)
-			if o.clauseHolds(ctx, dc) && t[0].kind == VStmt {
-				set = append(set, t[0].a)
+			if o.clauseHolds(ctx, dc) && t[0].Kind == VStmt {
+				set = append(set, t[0].Stmt)
 			}
 			ctx.f.unbind(sc.slots)
 		}
@@ -342,14 +342,14 @@ func (o *Optimizer) memberCandidates(ctx *context, sc *clauseScratch) int {
 			}
 			for i := 0; i < n; i++ {
 				for _, s := range stmts {
-					ctx.push(ctx.tuple(base, i, w), w)[j] = stmtCV(s)
+					ctx.push(ctx.tuple(base, i, w), w)[j] = stmtVal(s)
 				}
 			}
 		} else {
 			loops := ctx.loopList()
 			for i := 0; i < n; i++ {
 				for _, l := range loops {
-					ctx.push(ctx.tuple(base, i, w), w)[j] = loopCV(l)
+					ctx.push(ctx.tuple(base, i, w), w)[j] = loopVal(l)
 				}
 			}
 		}
@@ -390,7 +390,7 @@ func (o *Optimizer) depCandidates(ctx *context, sc *clauseScratch) int {
 			ctx.graph.Visit(ap.kind, nil, nil, predQueryDir(ap.call), func(d *dep.Dependence) {
 				ctx.cost.DepChecks++
 				t := ctx.push(nil, w)
-				t[ap.srcJ], t[ap.dstJ] = stmtCV(d.Src), stmtCV(d.Dst)
+				t[ap.srcJ], t[ap.dstJ] = stmtVal(d.Src), stmtVal(d.Dst)
 				setPositions(t, sc.posVars, d)
 			})
 		}
@@ -411,7 +411,7 @@ func (o *Optimizer) depCandidates(ctx *context, sc *clauseScratch) int {
 			// Fall back to all statements for elements without an anchor.
 			for i := 0; i < n; i++ {
 				for _, s := range ctx.prog.Stmts() {
-					ctx.push(ctx.tuple(base, i, w), w)[j] = stmtCV(s)
+					ctx.push(ctx.tuple(base, i, w), w)[j] = stmtVal(s)
 				}
 			}
 			n = ctx.settle(base, top, w)
@@ -441,9 +441,9 @@ func (o *Optimizer) depCandidates(ctx *context, sc *clauseScratch) int {
 					ctx.cost.DepChecks++
 					t := ctx.push(ctx.tuple(base, i, w), w)
 					if ap.newIsrc {
-						t[j] = stmtCV(d.Src)
+						t[j] = stmtVal(d.Src)
 					} else {
-						t[j] = stmtCV(d.Dst)
+						t[j] = stmtVal(d.Dst)
 					}
 					setPositions(t, sc.posVars, d)
 				})
@@ -485,12 +485,12 @@ func (o *Optimizer) extendWithPositions(ctx *context, dp *depPlan, sc *clauseScr
 // setPositions binds position variables from a dependence edge: the
 // operand position involved at the use end of the dependence (DstPos for
 // flow and output, SrcPos for anti).
-func setPositions(t []cval, posVars []int, d *dep.Dependence) {
+func setPositions(t []Value, posVars []int, d *dep.Dependence) {
 	pos := d.DstPos
 	if d.Kind == dep.Anti {
 		pos = d.SrcPos
 	}
 	for _, j := range posVars {
-		t[j] = cval{kind: VNum, num: int64(pos)}
+		t[j] = numVal(int64(pos))
 	}
 }

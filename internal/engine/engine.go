@@ -350,4 +350,4 @@ func (c *context) bindCandidate(d domain, slots []int, i int) (bound []int, ok b
 	return slots[:1], true
 }
 
-func sameLoop(v Value, l ir.Loop) bool { return v.Kind == VLoop && v.Loop.Head == l.Head }
+func sameLoop(v Value, l ir.Loop) bool { return v.Kind == VLoop && v.Stmt == l.Head }

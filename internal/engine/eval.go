@@ -45,12 +45,13 @@ type context struct {
 
 	// Search state, reused across the searches of one run. f is the frame
 	// every clause binds into. cands is the candidate stack: each Depend
-	// clause pushes its compact candidate tuples above those of the
-	// clauses enclosing it and pops them on return. clauses holds each
+	// clause pushes its candidate tuples (statements, loops and positions;
+	// VNone where a candidate leaves an element unbound) above those of
+	// the clauses enclosing it and pops them on return. clauses holds each
 	// Depend clause's scratch (a clause is active at most once on the
 	// backtracking stack).
 	f        *frame
-	cands    []cval
+	cands    []Value
 	seenCand map[candKey]struct{}
 	clauses  []clauseScratch
 	// searching marks the program as frozen: the loop and loop-pair
@@ -69,6 +70,23 @@ type context struct {
 	path             []*ir.Stmt
 	fromA, toB       []bool
 	reachStack       []int
+
+	// ops holds the computed operands (eval() results, L.lcv, float
+	// literals) that operand values point at. evalBool and execAction
+	// release what their evaluation added; nothing they return points
+	// into it.
+	ops []ir.Operand
+}
+
+// newOp stores a computed operand in the context's scratch and returns a
+// value pointing at it. When the scratch grows, values made earlier keep
+// pointing into the old array, which stays valid.
+func (c *context) newOp(o ir.Operand) Value {
+	if c.ops == nil {
+		c.ops = make([]ir.Operand, 0, 4) // deep enough for the built-in specs
+	}
+	c.ops = append(c.ops, o)
+	return opVal(&c.ops[len(c.ops)-1])
 }
 
 // beginSearch readies the context for a search of the current program.
@@ -82,6 +100,7 @@ func (c *context) beginSearch() {
 	c.flow = nil
 	c.depNS = 0
 	c.cands = c.cands[:0]
+	c.ops = c.ops[:0]
 	c.pathFrom, c.pathTo, c.path = nil, nil, nil
 	c.searching = true
 }
@@ -144,11 +163,10 @@ func (c *context) cfgFull() *cfg.Graph {
 // evalBool evaluates a boolean precondition expression. Unevaluable
 // conditions are false.
 func (c *context) evalBool(f *frame, e gospel.Expr) bool {
+	mark := len(c.ops)
 	v, err := c.eval(f, e)
-	if err != nil {
-		return false
-	}
-	return v.Kind == VBool && v.Bool
+	c.ops = c.ops[:mark]
+	return err == nil && v.Bool()
 }
 
 // eval evaluates any GOSpeL expression to a runtime value.
@@ -162,7 +180,7 @@ func (c *context) eval(f *frame, e gospel.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, errf("bad number %q", e.Text)
 		}
-		return opVal(ir.ConstOp(ir.FloatVal(x))), nil
+		return c.newOp(ir.ConstOp(ir.FloatVal(x))), nil
 	case gospel.Lit:
 		return litVal(e.Name), nil
 	case gospel.Ident:
@@ -182,7 +200,7 @@ func (c *context) eval(f *frame, e gospel.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return boolVal(!(v.Kind == VBool && v.Bool)), nil
+		return boolVal(!v.Bool()), nil
 	case gospel.Binary:
 		return c.evalBinary(f, e)
 	}
@@ -215,9 +233,9 @@ func (c *context) evalAttr(f *frame, e gospel.Attr) (Value, error) {
 			slot := int(e.Name[len(e.Name)-1] - '0')
 			op := s.OperandSlot(slot)
 			if op == nil {
-				return opVal(ir.None()), nil
+				op = &noneOp
 			}
-			return opVal(*op), nil
+			return opVal(op), nil
 		case "opc":
 			return litVal(opcName(s)), nil
 		case "kind":
@@ -229,7 +247,7 @@ func (c *context) evalAttr(f *frame, e gospel.Attr) (Value, error) {
 		}
 		return Value{}, errf("statement attribute %q", e.Name)
 	case VLoop:
-		l := base.Loop
+		l := base.Loop()
 		// head/end remain addressable while actions dismantle the loop
 		// (fusion deletes the head before the end); the structural
 		// attributes below require the loop to still be intact.
@@ -252,13 +270,13 @@ func (c *context) evalAttr(f *frame, e gospel.Attr) (Value, error) {
 		case "body":
 			return setVal(l.Body(c.prog)), nil
 		case "lcv":
-			return opVal(ir.VarOp(l.LCV())), nil
+			return c.newOp(ir.VarOp(l.LCV())), nil
 		case "init":
-			return opVal(l.Head.Init), nil
+			return opVal(&l.Head.Init), nil
 		case "final":
-			return opVal(l.Head.Final), nil
+			return opVal(&l.Head.Final), nil
 		case "step":
-			return opVal(l.Head.Step), nil
+			return opVal(&l.Head.Step), nil
 		case "opc", "kind":
 			return litVal(kindName(l.Head)), nil
 		case "next", "prev":
@@ -334,7 +352,7 @@ func kindName(s *ir.Stmt) string {
 	return "?"
 }
 
-func operandTypeName(o ir.Operand) string {
+func operandTypeName(o *ir.Operand) string {
 	switch o.Kind {
 	case ir.Const:
 		return "const"
@@ -362,15 +380,19 @@ func (c *context) evalCall(f *frame, e gospel.Call) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
+		var s *ir.Stmt
+		if sv.Kind == VStmt {
+			s = sv.Stmt
+		}
 		var in bool
-		if setv.Kind == VLoop && setv.Loop.Valid(c.prog) {
-			in = setv.Loop.Contains(c.prog, sv.Stmt) // a position test
+		if l := setv.Loop(); setv.Kind == VLoop && l.Valid(c.prog) {
+			in = l.Contains(c.prog, s) // a position test
 		} else {
 			set, err := c.asSet(setv)
 			if err != nil {
 				return Value{}, err
 			}
-			in = slices.Contains(set, sv.Stmt)
+			in = slices.Contains(set, s)
 		}
 		if e.Fn == "nmem" {
 			in = !in
@@ -425,11 +447,15 @@ func (c *context) evalCall(f *frame, e gospel.Call) (Value, error) {
 		if sv.Kind != VStmt || sv.Stmt == nil {
 			return Value{}, errf("operand() needs a statement")
 		}
-		op := sv.Stmt.OperandSlot(int(pv.Num))
-		if op == nil {
-			return Value{}, errf("statement S%d has no operand %d", sv.Stmt.ID, pv.Num)
+		var pos int64
+		if pv.Kind == VNum {
+			pos = pv.Num
 		}
-		return opVal(*op), nil
+		op := sv.Stmt.OperandSlot(int(pos))
+		if op == nil {
+			return Value{}, errf("statement S%d has no operand %d", sv.Stmt.ID, pos)
+		}
+		return opVal(op), nil
 	case "type":
 		ov, err := c.eval(f, e.Args[0])
 		if err != nil {
@@ -438,7 +464,7 @@ func (c *context) evalCall(f *frame, e gospel.Call) (Value, error) {
 		if ov.Kind != VOperand {
 			return Value{}, errf("type() needs an operand")
 		}
-		return litVal(operandTypeName(ov.Op)), nil
+		return litVal(operandTypeName(ov.Op())), nil
 	case "itype":
 		ov, err := c.eval(f, e.Args[0])
 		if err != nil {
@@ -447,16 +473,16 @@ func (c *context) evalCall(f *frame, e gospel.Call) (Value, error) {
 		if ov.Kind != VOperand {
 			return Value{}, errf("itype() needs an operand")
 		}
-		return boolVal(optlib.IntTyped(c.prog, ov.Op)), nil
+		return boolVal(optlib.IntTyped(c.prog, *ov.Op())), nil
 	case "trip":
 		lv, err := c.eval(f, e.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
-		if lv.Kind != VLoop || !lv.Loop.Valid(c.prog) {
+		if lv.Kind != VLoop || !lv.Loop().Valid(c.prog) {
 			return Value{}, errf("trip() needs a loop")
 		}
-		h := lv.Loop.Head
+		h := lv.Stmt
 		if !h.Init.IsConst() || !h.Final.IsConst() || !h.Step.IsConst() {
 			return Value{}, errf("trip() needs constant bounds")
 		}
@@ -476,14 +502,14 @@ func (c *context) evalCall(f *frame, e gospel.Call) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if ov.Kind != VOperand || !ov.Op.IsVar() {
+		if ov.Kind != VOperand || !ov.Op().IsVar() {
 			return Value{}, errf("subst target must be a scalar variable operand")
 		}
 		repl, err := c.linearize(f, e.Args[1])
 		if err != nil {
 			return Value{}, err
 		}
-		return substVal(&SubstVal{Var: ov.Op.Name, Repl: repl}), nil
+		return substVal(&SubstVal{Var: ov.Op().Name, Repl: repl}), nil
 	}
 	return Value{}, errf("unknown function %q", e.Fn)
 }
@@ -508,7 +534,7 @@ func (c *context) evalDepPred(f *frame, e gospel.Call) (Value, error) {
 		if !ok || lv.Kind != VLoop {
 			return Value{}, errf("carried(%s): not a bound loop", e.CarriedBy)
 		}
-		level := c.loopLevel(src.Stmt, dst.Stmt, lv.Loop)
+		level := c.loopLevel(src.Stmt, dst.Stmt, lv.Loop())
 		if level == 0 {
 			return boolVal(false), nil
 		}
@@ -579,7 +605,7 @@ func (c *context) evalFusedDep(f *frame, e gospel.Call) (Value, error) {
 	if sm.Kind != VStmt || sn.Kind != VStmt || l1.Kind != VLoop || l2.Kind != VLoop {
 		return Value{}, errf("fused_dep needs (Stmt, Stmt, Loop, Loop)")
 	}
-	dirs := dep.FusedDirections(c.prog, sm.Stmt, sn.Stmt, l1.Loop, l2.Loop)
+	dirs := dep.FusedDirections(c.prog, sm.Stmt, sn.Stmt, l1.Loop(), l2.Loop())
 	want := dep.DirAny
 	if len(e.Dir) > 0 {
 		want = e.Dir[0]
@@ -638,12 +664,13 @@ func (c *context) evalSet(f *frame, e gospel.Expr) ([]*ir.Stmt, error) {
 func (c *context) asSet(v Value) ([]*ir.Stmt, error) {
 	switch v.Kind {
 	case VSet:
-		return v.Set, nil
+		return v.Set(), nil
 	case VLoop:
-		if !v.Loop.Valid(c.prog) {
+		l := v.Loop()
+		if !l.Valid(c.prog) {
 			return nil, errf("stale loop binding in set expression")
 		}
-		hi, ei := c.prog.Index(v.Loop.Head), c.prog.Index(v.Loop.End)
+		hi, ei := c.prog.Index(l.Head), c.prog.Index(l.End)
 		return c.prog.Stmts()[hi+1 : ei : ei], nil
 	}
 	return nil, errf("%s is not a set", v)
@@ -665,11 +692,11 @@ func (c *context) evalEval(f *frame, arg gospel.Expr) (Value, error) {
 		if !s.A.IsConst() || !s.B.IsConst() {
 			return Value{}, errf("eval() needs constant operands")
 		}
-		return opVal(ir.ConstOp(ir.Arith(s.Op, s.A.Val, s.B.Val))), nil
+		return c.newOp(ir.ConstOp(ir.Arith(s.Op, s.A.Val, s.B.Val))), nil
 	case VNum:
-		return opVal(ir.IntOp(v.Num)), nil
+		return c.newOp(ir.IntOp(v.Num)), nil
 	case VOperand:
-		if !v.Op.IsConst() {
+		if !v.Op().IsConst() {
 			return Value{}, errf("eval() needs a constant operand")
 		}
 		return v, nil
@@ -683,8 +710,8 @@ func numeric(v Value) (int64, error) {
 	case VNum:
 		return v.Num, nil
 	case VOperand:
-		if v.Op.IsConst() {
-			return v.Op.Val.AsInt(), nil
+		if op := v.Op(); op.IsConst() {
+			return op.Val.AsInt(), nil
 		}
 	}
 	return 0, errf("%s is not numeric", v)
@@ -697,24 +724,24 @@ func (c *context) evalBinary(f *frame, e gospel.Binary) (Value, error) {
 		if err != nil || l.Kind != VBool {
 			return boolVal(false), err
 		}
-		if !l.Bool {
+		if !l.Bool() {
 			return boolVal(false), nil
 		}
 		r, err := c.eval(f, e.R)
 		if err != nil || r.Kind != VBool {
 			return boolVal(false), err
 		}
-		return boolVal(r.Bool), nil
+		return r, nil
 	case "or":
 		l, err := c.eval(f, e.L)
-		if err == nil && l.Kind == VBool && l.Bool {
+		if err == nil && l.Bool() {
 			return boolVal(true), nil
 		}
 		r, err := c.eval(f, e.R)
 		if err != nil {
 			return boolVal(false), nil
 		}
-		return boolVal(r.Kind == VBool && r.Bool), nil
+		return boolVal(r.Bool()), nil
 	case "+", "-", "*", "/", "mod":
 		l, err := c.eval(f, e.L)
 		if err != nil {
@@ -796,7 +823,7 @@ func (c *context) compareValues(op string, l, r Value) (bool, error) {
 	}
 	// Literal comparison (opc, kind, operand type).
 	if l.Kind == VLit || r.Kind == VLit {
-		ls, rs := l.Lit, r.Lit
+		ls, rs := l.Lit(), r.Lit()
 		if l.Kind != VLit || r.Kind != VLit {
 			return false, errf("cannot compare %s with %s", l, r)
 		}
@@ -809,13 +836,13 @@ func (c *context) compareValues(op string, l, r Value) (bool, error) {
 		return false, errf("literals only compare with == or !=")
 	}
 	// Operand structural comparison for ==/!= on non-constant operands.
-	if l.Kind == VOperand && r.Kind == VOperand &&
-		(!l.Op.IsConst() || !r.Op.IsConst()) {
+	if lo, ro := l.Op(), r.Op(); l.Kind == VOperand && r.Kind == VOperand &&
+		(!lo.IsConst() || !ro.IsConst()) {
 		switch op {
 		case "==":
-			return l.Op.Equal(r.Op), nil
+			return lo.Equal(*ro), nil
 		case "!=":
-			return !l.Op.Equal(r.Op), nil
+			return !lo.Equal(*ro), nil
 		}
 		return false, errf("non-constant operands only compare with == or !=")
 	}
@@ -883,12 +910,12 @@ func (c *context) linearize(f *frame, e gospel.Expr) (ir.LinExpr, error) {
 		if err != nil {
 			return ir.LinExpr{}, err
 		}
-		if v.Kind == VOperand {
+		if op := v.Op(); v.Kind == VOperand {
 			switch {
-			case v.Op.IsVar():
-				return ir.VarExpr(v.Op.Name), nil
-			case v.Op.IsConst() && !v.Op.Val.IsFloat:
-				return ir.ConstExpr(v.Op.Val.Int), nil
+			case op.IsVar():
+				return ir.VarExpr(op.Name), nil
+			case op.IsConst() && !op.Val.IsFloat:
+				return ir.ConstExpr(op.Val.Int), nil
 			}
 		}
 		if v.Kind == VNum {

@@ -108,11 +108,11 @@ END`)
 	loops := ir.Loops(p)
 	env := Env{"L1": loopVal(loops[0]), "L2": loopVal(loops[1])}
 	v, err := ctx.eval(bind(ctx, env), gospel.Attr{Base: gospel.Ident{Name: "L1"}, Name: "next"})
-	if err != nil || v.Kind != VLoop || v.Loop.Head != loops[1].Head {
+	if err != nil || v.Kind != VLoop || v.Loop().Head != loops[1].Head {
 		t.Errorf("L1.next = %v, %v", v, err)
 	}
 	v, err = ctx.eval(bind(ctx, env), gospel.Attr{Base: gospel.Ident{Name: "L2"}, Name: "prev"})
-	if err != nil || v.Loop.Head != loops[0].Head {
+	if err != nil || v.Loop().Head != loops[0].Head {
 		t.Errorf("L2.prev = %v, %v", v, err)
 	}
 	if _, err := ctx.eval(bind(ctx, env), gospel.Attr{Base: gospel.Ident{Name: "L1"}, Name: "prev"}); err == nil {
@@ -150,16 +150,16 @@ func TestCompareValuesBranches(t *testing.T) {
 		t.Error("literal vs number must error")
 	}
 	// Operand structural comparison.
-	ok, _ = ctx.compareValues("!=", opVal(ir.VarOp("x")), opVal(ir.VarOp("y")))
+	ok, _ = ctx.compareValues("!=", ctx.newOp(ir.VarOp("x")), ctx.newOp(ir.VarOp("y")))
 	if !ok {
 		t.Error("operand inequality")
 	}
 	// Numeric comparisons through operands.
-	ok, _ = ctx.compareValues("<=", opVal(ir.IntOp(3)), numVal(3))
+	ok, _ = ctx.compareValues("<=", ctx.newOp(ir.IntOp(3)), numVal(3))
 	if !ok {
 		t.Error("const operand vs num")
 	}
-	if _, err := ctx.compareValues("<", opVal(ir.VarOp("x")), numVal(3)); err == nil {
+	if _, err := ctx.compareValues("<", ctx.newOp(ir.VarOp("x")), numVal(3)); err == nil {
 		t.Error("non-const operand relational must error")
 	}
 }
@@ -184,12 +184,12 @@ ACTION delete(M);`)
 	cond := spec.Depends[0].Sets
 	env["M"] = stmtVal(p.At(1))
 	v, err := ctx.eval(bind(ctx, env), cond)
-	if err != nil || !v.Bool {
+	if err != nil || !v.Bool() {
 		t.Errorf("middle statement must be on the path: %v %v", v, err)
 	}
 	env["M"] = stmtVal(p.At(0))
 	v, _ = ctx.eval(bind(ctx, env), cond)
-	if v.Bool {
+	if v.Bool() {
 		t.Error("endpoints are excluded from path()")
 	}
 }
@@ -218,7 +218,7 @@ ACTION delete(S);`)
 		t.Fatal(err)
 	}
 	v, err := ctx.eval(bind(ctx, env), spec.Depends[0].Sets)
-	if err != nil || !v.Bool {
+	if err != nil || !v.Bool() {
 		t.Errorf("union/inter/nmem: %v %v", v, err)
 	}
 }
@@ -229,7 +229,7 @@ func TestValueAndCostStrings(t *testing.T) {
 		stmtVal(nil),
 		loopVal(ir.Loop{Head: &ir.Stmt{Kind: ir.SDoHead, LCV: "i"}}),
 		setVal([]*ir.Stmt{nil, nil}),
-		opVal(ir.VarOp("x")),
+		opVal(&ir.Operand{Kind: ir.Var, Name: "x"}),
 		numVal(7),
 		boolVal(true),
 		litVal("add"),
@@ -310,14 +310,14 @@ func TestSetOpcVariants(t *testing.T) {
 func TestEvalEvalForms(t *testing.T) {
 	ctx, p := evalCtx(t, "PROGRAM p\nINTEGER x\nx = 3 * 4\nx = x\nEND")
 	fold, err := ctx.evalEval(bind(ctx, Env{"S": stmtVal(p.At(0))}), gospel.Ident{Name: "S"})
-	if err != nil || fold.Op.Val.AsInt() != 12 {
+	if err != nil || fold.Op().Val.AsInt() != 12 {
 		t.Errorf("eval(S) = %v, %v", fold, err)
 	}
 	if _, err := ctx.evalEval(bind(ctx, Env{"S": stmtVal(p.At(1))}), gospel.Ident{Name: "S"}); err == nil {
 		t.Error("eval of a copy must fail")
 	}
 	v, err := ctx.evalEval(bind(ctx, Env{}), gospel.Num{Text: "5"})
-	if err != nil || v.Op.Val.AsInt() != 5 {
+	if err != nil || v.Op().Val.AsInt() != 5 {
 		t.Errorf("eval(5) = %v, %v", v, err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/dep"
 	"repro/internal/gospel"
-	"repro/ir"
 )
 
 // plan is the slot layout Compile derives from a specification — the
@@ -219,46 +218,22 @@ func (o *Optimizer) frameOf(env Env) *frame {
 	return f
 }
 
-// cval is one value of a compact candidate tuple: a statement (a), a loop
-// (a = head, b = end) or a position number, or VNone when the candidate
-// leaves that element unbound.
-type cval struct {
-	kind VKind
-	a, b *ir.Stmt
-	num  int64
-}
-
-func stmtCV(s *ir.Stmt) cval { return cval{kind: VStmt, a: s} }
-func loopCV(l ir.Loop) cval  { return cval{kind: VLoop, a: l.Head, b: l.End} }
-
-func (v cval) value() Value {
-	switch v.kind {
-	case VStmt:
-		return stmtVal(v.a)
-	case VLoop:
-		return loopVal(ir.Loop{Head: v.a, End: v.b})
-	case VNum:
-		return numVal(v.num)
-	}
-	return Value{}
-}
-
 // maxKeyElems bounds the clause width the hashed de-duplication handles;
 // wider candidate tuples fall back to pairwise comparison.
 const maxKeyElems = 4
 
 // candKey is a candidate tuple as a map key. Slot order is part of the key,
 // so (Sm=S3, Sn=S4) and (Sm=S4, Sn=S3) stay distinct candidates.
-type candKey [maxKeyElems]cval
+type candKey [maxKeyElems]Value
 
 // tuple returns candidate i of the n-wide tuples starting at base.
-func (c *context) tuple(base, i, n int) []cval {
+func (c *context) tuple(base, i, n int) []Value {
 	return c.cands[base+i*n : base+(i+1)*n]
 }
 
 // push appends a copy of src (or a tuple of n unbound values when src is
 // nil) to the candidate stack and returns it.
-func (c *context) push(src []cval, n int) []cval {
+func (c *context) push(src []Value, n int) []Value {
 	l := len(c.cands)
 	c.cands = slices.Grow(c.cands, n)[:l+n]
 	t := c.cands[l:]
@@ -315,10 +290,10 @@ func (c *context) dedup(base, n, width int) int {
 }
 
 // bindTuple binds the values a candidate holds into their slots.
-func (c *context) bindTuple(slots []int, t []cval) {
+func (c *context) bindTuple(slots []int, t []Value) {
 	for j, s := range slots {
-		if t[j].kind != VNone {
-			c.f.vals[s] = t[j].value()
+		if t[j].Kind != VNone {
+			c.f.vals[s] = t[j]
 		}
 	}
 }
@@ -347,17 +322,17 @@ func appendSignature(dst []byte, vals []Value, sc *sigScratch) []byte {
 			}
 			sc.buf = strconv.AppendInt(append(sc.buf, 'S'), int64(v.Stmt.ID), 10)
 		case VLoop:
-			if v.Loop.Head == nil {
+			if v.Stmt == nil {
 				continue
 			}
-			sc.buf = strconv.AppendInt(append(sc.buf, 'L'), int64(v.Loop.Head.ID), 10)
+			sc.buf = strconv.AppendInt(append(sc.buf, 'L'), int64(v.Stmt.ID), 10)
 		case VNum:
 			sc.buf = strconv.AppendInt(sc.buf, v.Num, 10)
 		case VSet:
 			// The sorted member IDs: two distinct sets of equal size must
 			// not collide, or the second point is skipped as already seen.
 			sc.ids = sc.ids[:0]
-			for _, s := range v.Set {
+			for _, s := range v.Set() {
 				if s != nil {
 					sc.ids = append(sc.ids, s.ID)
 				}

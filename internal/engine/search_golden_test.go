@@ -86,10 +86,10 @@ func roleSignature(e engine.Env) string {
 				fmt.Fprintf(&b, "S%d", v.Stmt.ID)
 			}
 		case engine.VLoop:
-			fmt.Fprintf(&b, "L%d", v.Loop.Head.ID)
+			fmt.Fprintf(&b, "L%d", v.Loop().Head.ID)
 		case engine.VSet:
-			ids := make([]int, 0, len(v.Set))
-			for _, s := range v.Set {
+			ids := make([]int, 0, len(v.Set()))
+			for _, s := range v.Set() {
 				ids = append(ids, s.ID)
 			}
 			sort.Ints(ids)

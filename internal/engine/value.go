@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/ir"
 )
@@ -29,17 +30,37 @@ const (
 	VSubst // subst(...) descriptor, consumed by modify
 )
 
-// Value is one GOSpeL runtime value.
+// Value is one GOSpeL runtime value, four words long so that it travels
+// through eval's recursion in registers instead of by block copy. Kind
+// says how the other three words read:
+//
+//	VStmt     Stmt
+//	VLoop     Stmt = head, ptr = end
+//	VSet      ptr = backing array, Num = length
+//	VOperand  ptr = *ir.Operand
+//	VNum      Num
+//	VBool     Num = 0 or 1
+//	VLit      ptr = the string's bytes, Num = its length
+//	VSubst    ptr = *SubstVal
+//
+// Read ptr only through the accessors (Loop, Set, Op, Bool, Lit, Subst),
+// which return the zero value for any other kind. Every ptr target is a
+// Go-allocated or static object, so the collector sees it.
+//
+// An operand value points at the operand it denotes instead of copying
+// it: at the operand's slot in its statement (opr_1..3, init, final,
+// step), at a shared absent operand, or at the context's operand scratch
+// for computed operands (eval(), L.lcv, float literals). So an operand
+// value lives only until the statement it points into is next edited or
+// the evaluation that computed it returns. No value is held that long:
+// each action evaluates its own arguments, modify clones an operand before
+// it writes one, subst linearizes into a fresh LinExpr, and search frames
+// and every Env hold only statements, loops, numbers and sets.
 type Value struct {
-	Kind  VKind
-	Stmt  *ir.Stmt
-	Loop  ir.Loop
-	Set   []*ir.Stmt
-	Op    ir.Operand
-	Num   int64
-	Bool  bool
-	Lit   string
-	Subst *SubstVal
+	Kind VKind
+	Stmt *ir.Stmt
+	Num  int64
+	ptr  unsafe.Pointer
 }
 
 // SubstVal describes a variable substitution v ← Repl applied to a
@@ -49,14 +70,75 @@ type SubstVal struct {
 	Repl ir.LinExpr
 }
 
-func stmtVal(s *ir.Stmt) Value   { return Value{Kind: VStmt, Stmt: s} }
-func loopVal(l ir.Loop) Value    { return Value{Kind: VLoop, Loop: l} }
-func setVal(s []*ir.Stmt) Value  { return Value{Kind: VSet, Set: s} }
-func opVal(o ir.Operand) Value   { return Value{Kind: VOperand, Op: o} }
-func numVal(n int64) Value       { return Value{Kind: VNum, Num: n} }
-func boolVal(b bool) Value       { return Value{Kind: VBool, Bool: b} }
-func litVal(s string) Value      { return Value{Kind: VLit, Lit: s} }
-func substVal(s *SubstVal) Value { return Value{Kind: VSubst, Subst: s} }
+// noneOp is the absent operand every absent operand value points at. It is
+// never written: modify writes to statement slots only.
+var noneOp = ir.None()
+
+func stmtVal(s *ir.Stmt) Value { return Value{Kind: VStmt, Stmt: s} }
+func loopVal(l ir.Loop) Value {
+	return Value{Kind: VLoop, Stmt: l.Head, ptr: unsafe.Pointer(l.End)}
+}
+func setVal(s []*ir.Stmt) Value {
+	return Value{Kind: VSet, Num: int64(len(s)), ptr: unsafe.Pointer(unsafe.SliceData(s))}
+}
+func opVal(o *ir.Operand) Value { return Value{Kind: VOperand, ptr: unsafe.Pointer(o)} }
+func numVal(n int64) Value      { return Value{Kind: VNum, Num: n} }
+func boolVal(b bool) Value {
+	v := Value{Kind: VBool}
+	if b {
+		v.Num = 1
+	}
+	return v
+}
+func litVal(s string) Value {
+	return Value{Kind: VLit, Num: int64(len(s)), ptr: unsafe.Pointer(unsafe.StringData(s))}
+}
+func substVal(s *SubstVal) Value { return Value{Kind: VSubst, ptr: unsafe.Pointer(s)} }
+
+// Loop returns a loop value's loop.
+func (v Value) Loop() ir.Loop {
+	if v.Kind != VLoop {
+		return ir.Loop{}
+	}
+	return ir.Loop{Head: v.Stmt, End: (*ir.Stmt)(v.ptr)}
+}
+
+// Set returns a set value's statements. The slice's capacity is its
+// length, so appending to it copies.
+func (v Value) Set() []*ir.Stmt {
+	if v.Kind != VSet {
+		return nil
+	}
+	return unsafe.Slice((**ir.Stmt)(v.ptr), v.Num)
+}
+
+// Op returns the operand an operand value points at, or the absent operand
+// for any other kind. Callers must not write through it.
+func (v Value) Op() *ir.Operand {
+	if v.Kind != VOperand {
+		return &noneOp
+	}
+	return (*ir.Operand)(v.ptr)
+}
+
+// Bool reports whether v is the boolean true.
+func (v Value) Bool() bool { return v.Kind == VBool && v.Num != 0 }
+
+// Lit returns a literal value's text.
+func (v Value) Lit() string {
+	if v.Kind != VLit {
+		return ""
+	}
+	return unsafe.String((*byte)(v.ptr), v.Num)
+}
+
+// Subst returns a substitution value's descriptor.
+func (v Value) Subst() *SubstVal {
+	if v.Kind != VSubst {
+		return nil
+	}
+	return (*SubstVal)(v.ptr)
+}
 
 func (v Value) String() string {
 	switch v.Kind {
@@ -66,19 +148,20 @@ func (v Value) String() string {
 		}
 		return fmt.Sprintf("S%d", v.Stmt.ID)
 	case VLoop:
-		return fmt.Sprintf("loop(%s)", v.Loop.LCV())
+		return fmt.Sprintf("loop(%s)", v.Loop().LCV())
 	case VSet:
-		return fmt.Sprintf("set[%d]", len(v.Set))
+		return fmt.Sprintf("set[%d]", v.Num)
 	case VOperand:
-		return v.Op.String()
+		return v.Op().String()
 	case VNum:
 		return fmt.Sprintf("%d", v.Num)
 	case VBool:
-		return fmt.Sprintf("%t", v.Bool)
+		return fmt.Sprintf("%t", v.Bool())
 	case VLit:
-		return v.Lit
+		return v.Lit()
 	case VSubst:
-		return fmt.Sprintf("subst(%s, %s)", v.Subst.Var, v.Subst.Repl)
+		s := v.Subst()
+		return fmt.Sprintf("subst(%s, %s)", s.Var, s.Repl)
 	}
 	return "<none>"
 }
