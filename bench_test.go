@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
@@ -31,14 +30,12 @@ import (
 	"repro/internal/gospel"
 	"repro/internal/interp"
 	"repro/internal/jobs"
-	"repro/internal/nativecache"
 	"repro/internal/obs"
 	"repro/internal/proggen"
 	"repro/internal/server"
 	"repro/internal/specs"
 	"repro/internal/workloads"
 	"repro/ir"
-	"repro/optlib"
 )
 
 // BenchmarkE1QualityVsHandCoded regenerates E1: generated optimizers against
@@ -509,106 +506,6 @@ func BenchmarkFarmThroughput(b *testing.B) {
 		if diverged {
 			b.Fatalf("healthy specs diverged at seed %d", seed)
 		}
-	}
-}
-
-// BenchmarkCompiledFixpoint prices the compiled serving fast path against
-// the interpreted engine on the paper-scale corpus: the five-pass
-// CTP,CFO,DCE,FUS,PAR pipeline over the 379-statement hompack-ish program.
-// The compiled side is a plugin artifact from the content-addressed cache
-// driven through the shared-graph pipeline — the exact code path optd
-// serves under -engine=auto. The interpreted side is per-pass ApplyAll, a
-// fresh dep.Compute before every pass, as cmd/opt runs it. optd's own
-// interpreted path carries one graph through the pipeline
-// (engine.ApplyAllWith) instead, so this ratio is larger than compilation's
-// gain over what optd serves otherwise. Setup cross-checks the two engines
-// byte-for-byte before any timing; scripts/bench.sh -native enforces the
-// >=1.5x steady-state speedup gate on the ratio.
-func BenchmarkCompiledFixpoint(b *testing.B) {
-	if testing.Short() {
-		b.Skip("short mode: skipping toolchain integration")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		b.Skip("go toolchain not available")
-	}
-	raw, err := os.ReadFile(filepath.Join("examples", "programs", "hompack-ish.mf"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	template, err := ParseProgram(string(raw))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pipeline := []string{"CTP", "CFO", "DCE", "FUS", "PAR"}
-
-	dir := os.Getenv("REPRO_NATIVE_DIR")
-	if dir == "" {
-		d, err := nativecache.DefaultDir()
-		if err != nil {
-			b.Fatal(err)
-		}
-		dir = d
-	}
-	cache, err := nativecache.New(nativecache.Config{Dir: dir, Logger: slog.New(slog.DiscardHandler)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cache.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	art, err := cache.Ensure(ctx, nativecache.NewSpecSet(specs.Sources), nativecache.ModePlugin)
-	if err != nil {
-		b.Skipf("plugin artifact unavailable: %v", err)
-	}
-
-	interpret := func(p *ir.Program) {
-		for _, name := range pipeline {
-			o := specs.MustCompile(name)
-			if _, err := o.ApplyAll(p); err != nil {
-				b.Fatalf("%s: %v", name, err)
-			}
-		}
-	}
-	passes := make([]optlib.NamedApply, len(pipeline))
-	for i, name := range pipeline {
-		fn, ok := art.Func(name)
-		if !ok {
-			b.Fatalf("artifact has no compiled %s", name)
-		}
-		passes[i] = optlib.NamedApply{Name: name, Apply: fn}
-	}
-	compiled := func(p *ir.Program) {
-		if _, err := optlib.Pipeline(p, passes, optlib.Limits{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	// The speedup is only worth measuring if the outputs agree byte for
-	// byte — the differential is part of setup, not a separate test.
-	pi, pc := template.Clone(), template.Clone()
-	interpret(pi)
-	compiled(pc)
-	if pi.String() != pc.String() || ir.ToMiniF(pi) != ir.ToMiniF(pc) {
-		b.Fatal("compiled and interpreted pipelines disagree on hompack-ish")
-	}
-
-	for _, bc := range []struct {
-		name string
-		run  func(p *ir.Program)
-	}{
-		{"interpreted", interpret},
-		{"compiled", compiled},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ReportMetric(float64(template.Len()), "stmts")
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p := template.Clone()
-				b.StartTimer()
-				bc.run(p)
-			}
-		})
 	}
 }
 

@@ -13,17 +13,10 @@
 //	opt -points program.mf                # application-point census
 //	opt -submit URL -opts DCE a.mf        # queue a durable job on optd
 //	opt -submit URL -wait -opts DCE a.mf  # queue, then block for the result
-//	opt -engine=compiled -opts DCE a.mf   # batch via a compiled artifact
 //	opt -traces URL                       # list optd's retained distributed traces
 //	opt -traces URL TRACE_ID              # print one trace's span tree (cluster-merged)
 //	opt -fuzz 500                         # differential-fuzz 500 generated programs locally
 //	opt -fuzz 500 -submit URL             # farm the same campaign through optd's job queue
-//
-// -engine selects how the batch pipeline executes: interp (default) runs
-// the interpreted closure engine; compiled builds — or reuses from the
-// content-addressed cache under -native-dir — a native optimizer covering
-// the requested passes and runs that; auto tries compiled and falls back
-// to interp with a warning.
 //
 // With several program arguments the batch pipeline runs each program on a
 // bounded worker pool (-workers) and prints the results in argument order.
@@ -31,7 +24,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,18 +31,15 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/dep"
 	"repro/internal/engine"
 	"repro/internal/farm"
-	"repro/internal/nativecache"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/specs"
 	"repro/ir"
-	"repro/optlib"
 )
 
 func main() {
@@ -70,8 +59,6 @@ func main() {
 		submitURL   = flag.String("submit", "", "optd base URL: submit each program as a durable batch job instead of optimizing locally")
 		waitJobs    = flag.Bool("wait", false, "with -submit, block until each job finishes and print its result")
 		priority    = flag.String("priority", "", "with -submit, job priority: high, normal or low")
-		engineFlag  = flag.String("engine", "interp", "optimizer engine for batch runs: interp, auto (use a compiled artifact when one can be built, interpret otherwise) or compiled (require the compiled artifact, building it if missing)")
-		nativeDir   = flag.String("native-dir", "", "compiled-artifact cache directory (empty = the user cache dir)")
 		tracesURL   = flag.String("traces", "", "optd base URL: list its retained distributed traces, or print the span trees of the trace IDs given as arguments")
 		traceFilter = flag.String("trace-filter", "", "with -traces (list form), a raw query filter passed to /v1/traces, e.g. 'route=optimize&error=1&limit=10'")
 		fuzzN       = flag.Int("fuzz", 0, "differential-fuzz this many generated programs instead of optimizing files — locally, or through optd with -submit; exits 1 when findings are recorded")
@@ -103,26 +90,6 @@ low for the program), and exits 1.`)
 		fmt.Fprintf(os.Stderr, "opt: -logfmt must be text or json (got %q)\n", *logfmt)
 		os.Exit(2)
 	}
-	switch *engineFlag {
-	case "interp", "auto", "compiled":
-	default:
-		fmt.Fprintf(os.Stderr, "opt: -engine must be interp, auto or compiled (got %q)\n", *engineFlag)
-		os.Exit(2)
-	}
-	// The compiled engine only exists for the batch pipeline: interactive
-	// sessions, point censuses and remote submission never run a local
-	// compiled artifact, and span traces are an interpreter feature. Asking
-	// for it anyway is a contradiction, not a preference — fail fast.
-	if *engineFlag == "compiled" {
-		if *interactive || *points || *submitURL != "" {
-			fmt.Fprintln(os.Stderr, "opt: -engine=compiled is incompatible with -i, -points and -submit")
-			os.Exit(2)
-		}
-		if *traceFile != "" {
-			fmt.Fprintln(os.Stderr, "opt: -engine=compiled is incompatible with -trace (compiled pipelines emit no span trees)")
-			os.Exit(2)
-		}
-	}
 	for _, name := range splitList(*optsFlag) {
 		if _, ok := specs.Sources[name]; !ok {
 			fmt.Fprintf(os.Stderr, "opt: unknown optimization %q in -opts (have %s)\n",
@@ -130,10 +97,10 @@ low for the program), and exits 1.`)
 			os.Exit(2)
 		}
 	}
-	// Fuzz mode generates its own corpus and owns the program/engine
-	// choices: flags that name input programs, pick an engine or shape
-	// per-program output contradict it and must die here with exit 2, not
-	// be silently ignored mid-campaign.
+	// Fuzz mode generates its own corpus and owns the program choices:
+	// flags that name input programs or shape per-program output
+	// contradict it and must die here with exit 2, not be silently ignored
+	// mid-campaign.
 	if *fuzzN < 0 {
 		fmt.Fprintf(os.Stderr, "opt: -fuzz must be >= 0 (got %d)\n", *fuzzN)
 		os.Exit(2)
@@ -145,10 +112,6 @@ low for the program), and exits 1.`)
 		}
 		if *orderFlag != "" {
 			fmt.Fprintln(os.Stderr, "opt: -fuzz is incompatible with -order (the campaign order is -opts plus -spec names)")
-			os.Exit(2)
-		}
-		if *engineFlag != "interp" {
-			fmt.Fprintln(os.Stderr, "opt: -fuzz is incompatible with -engine (the farm's variant matrix selects engines)")
 			os.Exit(2)
 		}
 		if *traceFile != "" || *minif || *inputs != "" || *waitJobs || *priority != "" {
@@ -300,17 +263,6 @@ low for the program), and exits 1.`)
 		fatal(err)
 	}
 	files := flag.Args()
-	// -engine=auto or compiled: build (or load from the content-addressed
-	// cache) one compiled artifact covering the whole requested pipeline up
-	// front, then serve every program argument from it. auto degrades to the
-	// interpreter with a warning when no artifact can be had; compiled exits.
-	// A trace request keeps auto on the interpreter — spans are an
-	// interpreter feature (the compiled case was rejected above).
-	var art *nativecache.Artifact
-	var order []string
-	if *engineFlag != "interp" && *traceFile == "" {
-		art, order = nativeArtifact(*engineFlag, *nativeDir, effectiveOpts, *specFiles)
-	}
 	type result struct {
 		log    strings.Builder // per-optimization pass reports (stderr)
 		text   string          // rendered program (stdout)
@@ -336,10 +288,6 @@ low for the program), and exits 1.`)
 				jl.Info("pass done", slog.String("file", files[i]),
 					slog.String("pass", name), slog.Int("applications", n))
 			}
-		}
-		if art != nil {
-			r.text, r.out, r.err = nativeRun(art, order, string(src), *maxIter, *minif, *run, vals, report)
-			return r
 		}
 		p, err := genesis.ParseProgram(string(src))
 		if err != nil {
@@ -443,131 +391,6 @@ func pipeline(p *ir.Program, optsFlag, specFiles string, maxIter int, report fun
 		}
 	}
 	return nil
-}
-
-// nativeArtifact resolves the compiled artifact for the requested pipeline:
-// the built-in specs plus any -spec files, ensured through the
-// content-addressed cache. It returns the artifact and the pass names in
-// pipeline order, or (nil, nil) when the run should fall back to the
-// interpreter — an error under -engine=auto (reported as a warning), or an
-// empty pipeline. Under -engine=compiled every failure is fatal.
-func nativeArtifact(engineFlag, dir, optsFlag, specFiles string) (*nativecache.Artifact, []string) {
-	strict := engineFlag == "compiled"
-	fail := func(err error) (*nativecache.Artifact, []string) {
-		if strict {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "opt: compiled engine unavailable, running interpreted: %v\n", err)
-		return nil, nil
-	}
-	sources := make(map[string]string, len(specs.Sources))
-	for name, src := range specs.Sources {
-		sources[name] = src
-	}
-	order := splitList(optsFlag)
-	for _, file := range strings.Split(specFiles, ",") {
-		file = strings.TrimSpace(file)
-		if file == "" {
-			continue
-		}
-		text, err := os.ReadFile(file)
-		if err != nil {
-			return fail(err)
-		}
-		name := stem(file)
-		if prev, ok := sources[name]; ok && prev != string(text) {
-			// Two different spec texts cannot share one name in a compiled
-			// registry; only the interpreter can shadow a built-in.
-			return fail(fmt.Errorf("spec %s shadows a different spec of the same name", name))
-		}
-		sources[name] = string(text)
-		order = append(order, name)
-	}
-	if len(order) == 0 {
-		if strict {
-			fatal(fmt.Errorf("-engine=compiled needs a pipeline: pass -opts and/or -spec"))
-		}
-		return nil, nil
-	}
-	if dir == "" {
-		d, err := nativecache.DefaultDir()
-		if err != nil {
-			return fail(err)
-		}
-		dir = d
-	}
-	cache, err := nativecache.New(nativecache.Config{Dir: dir, Logger: slog.Default()})
-	if err != nil {
-		return fail(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	art, err := cache.Ensure(ctx, nativecache.NewSpecSet(sources), nativecache.ModeAuto)
-	if err != nil {
-		return fail(err)
-	}
-	return art, order
-}
-
-// nativeRun optimizes one program through a compiled artifact — in-process
-// when the artifact is a loaded plugin, through its runner binary otherwise
-// — reporting per-pass counts exactly like the interpreted pipeline.
-func nativeRun(art *nativecache.Artifact, order []string, src string, maxIter int, wantMiniF, runProg bool, vals []ir.Value, report func(name string, n int)) (text string, out []ir.Value, err error) {
-	if art.InProcess() {
-		p, err := optlib.ParseMiniF(src)
-		if err != nil {
-			return "", nil, err
-		}
-		passes := make([]optlib.NamedApply, len(order))
-		for i, name := range order {
-			fn, _ := art.Func(name) // Ensure built the artifact over exactly these names
-			passes[i] = optlib.NamedApply{Name: name, Apply: fn}
-		}
-		counts, perr := optlib.Pipeline(p, passes, optlib.Limits{MaxIterations: maxIter})
-		for _, c := range counts {
-			report(c.Name, c.Applications)
-		}
-		if perr != nil {
-			return "", nil, perr
-		}
-		if wantMiniF {
-			text = ir.ToMiniF(p)
-		} else {
-			text = p.String()
-		}
-		if runProg {
-			if out, err = genesis.Execute(p, vals); err != nil {
-				return "", nil, err
-			}
-		}
-		return text, out, nil
-	}
-	res, err := art.RunPipeline(context.Background(), src, order, maxIter)
-	if err != nil {
-		return "", nil, err
-	}
-	for _, pc := range res.Passes {
-		report(pc.Name, pc.Applications)
-	}
-	if perr := res.PipelineError(); perr != nil {
-		return "", nil, perr
-	}
-	if wantMiniF {
-		text = res.MiniF
-	} else {
-		text = res.IR
-	}
-	if runProg {
-		// The runner hands back source, not a program; round-trip it.
-		p, err := genesis.ParseProgram(res.MiniF)
-		if err != nil {
-			return "", nil, fmt.Errorf("reparsing optimized program: %w", err)
-		}
-		if out, err = genesis.Execute(p, vals); err != nil {
-			return "", nil, err
-		}
-	}
-	return text, out, nil
 }
 
 // samePermutation reports whether a and b contain the same names (as sets

@@ -48,14 +48,6 @@
 // owner. Per-peer health comes from probing /healthz with exponential
 // backoff on down peers.
 //
-// -engine selects how optimization pipelines execute: auto (the default)
-// serves from ahead-of-time compiled optimizer artifacts once they are
-// built, falling back to the interpreted engine transparently; interp
-// forces interpretation; compiled additionally refuses to start until the
-// artifact covering every built-in optimization is built or loaded.
-// Artifacts are cached content-addressed under -native-dir and every
-// response names its engine in the X-Optd-Engine header.
-//
 // A pass-ordering advisor learns from every completed run: requests with
 // "order":"auto" (or ?order=auto) are scheduled with the pass order that
 // historically applied the most optimizations to the nearest similar
@@ -73,11 +65,11 @@
 //
 // Every request is traced: the server joins a W3C-style Traceparent header
 // when one arrives (one-hop forwards, replay sweeps) and mints a fresh
-// trace otherwise, threading spans through job queues, the advisor and
-// compiled-engine subprocesses. A tail sampler keeps every error and
-// slow-percentile trace plus 1 in -trace-sample of the rest in a bounded
-// per-node store (-trace-store fragments, optionally spilled under
-// -trace-dir), queryable via /v1/traces. Latency histograms carry exemplar
+// trace otherwise, threading spans through job queues and the advisor. A
+// tail sampler keeps every error and slow-percentile trace plus 1 in
+// -trace-sample of the rest in a bounded per-node store (-trace-store
+// fragments, optionally spilled under -trace-dir), queryable via
+// /v1/traces. Latency histograms carry exemplar
 // trace IDs in the Prometheus exposition.
 //
 // Results are cached content-addressed (SHA-256 of source, opt sequence,
@@ -132,9 +124,6 @@ func main() {
 		peers     = flag.String("peers", "", "comma-separated cluster member addresses (host:port, including this node); empty = single node")
 		advertise = flag.String("advertise", "", "this node's address as it appears in -peers (required with -peers)")
 
-		engine    = flag.String("engine", "auto", "optimizer engine: auto (serve from compiled artifacts when loaded, interpret otherwise), interp, or compiled (require the built-in artifact before accepting traffic)")
-		nativeDir = flag.String("native-dir", "", "compiled-artifact cache directory (empty = the user cache dir)")
-
 		advisorDir    = flag.String("advisor-dir", "", "pass-ordering advisor outcome-store directory (empty = memory-only history)")
 		advisorK      = flag.Int("advisor-k", 0, "advisor k-NN neighborhood size (0 = default, 8)")
 		advisorMin    = flag.Int("advisor-min", 0, "advisor minimum neighbors before it recommends instead of falling back (0 = default, 3)")
@@ -154,10 +143,6 @@ func main() {
 	}
 	if *logfmt != "text" && *logfmt != "json" {
 		fmt.Fprintf(os.Stderr, "optd: -logfmt must be text or json (got %q)\n", *logfmt)
-		os.Exit(2)
-	}
-	if !server.ValidEngine(*engine) {
-		fmt.Fprintf(os.Stderr, "optd: -engine must be auto, interp or compiled (got %q)\n", *engine)
 		os.Exit(2)
 	}
 	if *advisorK < 0 || *advisorMin < 0 || *advisorMax < 0 {
@@ -230,8 +215,6 @@ func main() {
 		JobsRetries:         *jobsRetries,
 		Peers:               peerList,
 		Advertise:           *advertise,
-		Engine:              *engine,
-		NativeDir:           *nativeDir,
 		AdvisorDir:          *advisorDir,
 		AdvisorK:            *advisorK,
 		AdvisorMinNeighbors: *advisorMin,

@@ -35,8 +35,8 @@ type Record struct {
 	Applied int `json:"applied"`
 	// WallUS is the optimization wall time in microseconds.
 	WallUS int64 `json:"wall_us"`
-	// Engine records which execution engine produced the outcome
-	// ("interp" or "native") — diagnostic only, retrieval is engine-blind.
+	// Engine records which execution engine produced the outcome (optd
+	// writes "interp") — diagnostic only, retrieval is engine-blind.
 	Engine string `json:"engine,omitempty"`
 }
 

@@ -22,10 +22,9 @@ import (
 	"repro/internal/gospel"
 )
 
-// Version identifies the code generator's output format. It participates in
-// the native artifact cache key (internal/nativecache): bump it whenever a
-// change to this package can alter the emitted source for an unchanged spec,
-// so stale compiled artifacts are never reused.
+// Version identifies the code generator's output format; optd reports it in
+// /v1/version and its build-info gauge. Bump it whenever a change to this
+// package can alter the emitted source for an unchanged spec.
 const Version = "1"
 
 // Options configures generation.

@@ -41,8 +41,8 @@ type Variant struct {
 	Name string
 	// Engine selects how the pass pipeline executes: "" or EngineInterp
 	// for the in-process closure engine, any other name for a pipeline
-	// registered in Config.Pipelines (optd registers its compiled-artifact
-	// path here).
+	// registered in Config.Pipelines (the oracle tests register deliberately
+	// wrong pipelines there).
 	Engine string
 	// Order, when non-empty, is this variant's explicit pass order.
 	Order []string
@@ -57,8 +57,7 @@ type Variant struct {
 
 // DefaultVariants is the minimal useful configuration matrix: the
 // interpreted engine under the default order and under a rotated order.
-// Servers with a loaded compiled artifact add a compiled variant so the
-// generated-code path is differentially tested against the interpreter.
+// optd adds an advisor-ordered variant for campaigns over built-in specs.
 func DefaultVariants() []Variant {
 	return []Variant{
 		{Name: "interp:default", Engine: EngineInterp},
@@ -103,9 +102,9 @@ type Config struct {
 	// program source (optd wires the pass-ordering advisor here). Returned
 	// names not present in Sources are dropped.
 	AutoOrder func(source string) []string
-	// Pipelines maps additional engine names to their execution functions
-	// (e.g. "compiled" → optd's native-artifact path). EngineInterp is
-	// built in and need not appear.
+	// Pipelines maps additional engine names to their execution functions,
+	// the seam through which tests inject pipelines whose census or output
+	// diverges. EngineInterp is built in and need not appear.
 	Pipelines map[string]PipelineFunc
 }
 

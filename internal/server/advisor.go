@@ -27,9 +27,9 @@ const (
 )
 
 // OrderHeader is the response header naming the effective pass order
-// (comma-separated) whenever the request carried an order directive. It
-// mirrors X-Optd-Engine: the decision is visible without parsing the body,
-// including on cached replays.
+// (comma-separated) whenever the request carried an order directive, so
+// the decision is visible without parsing the body, including on cached
+// replays.
 const OrderHeader = "X-Optd-Order"
 
 // setOrderHeader stamps the effective pass order; no directive, no header.
@@ -165,7 +165,7 @@ func (s *Server) harvestOptimize(req *OptimizeRequest, resp *OptimizeResponse) {
 		Order:   req.Opts,
 		Applied: applied,
 		WallUS:  resp.TotalUS,
-		Engine:  resp.Engine,
+		Engine:  EngineInterp,
 	})
 }
 

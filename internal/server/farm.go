@@ -23,12 +23,9 @@ import (
 	"time"
 
 	"repro/internal/farm"
-	"repro/internal/frontend"
 	"repro/internal/jobs"
 	"repro/internal/specs"
 	"repro/internal/trace"
-	"repro/ir"
-	"repro/optlib"
 )
 
 // maxFarmCount bounds one campaign's corpus; larger sweeps are expected to
@@ -104,11 +101,9 @@ type farmJobSpec struct {
 	MaxStmts int        `json:"max_stmts,omitempty"`
 	Order    []string   `json:"order"`
 	Specs    []SpecText `json:"specs,omitempty"`
-	// Auto adds an advisor-ordered variant; Compiled adds the
-	// native-artifact engine variant. Both are resolved at submission so
-	// every job of a campaign runs the same matrix.
-	Auto     bool `json:"auto,omitempty"`
-	Compiled bool `json:"compiled,omitempty"`
+	// Auto adds an advisor-ordered variant. It is resolved at submission
+	// so every job of a campaign runs the same matrix.
+	Auto bool `json:"auto,omitempty"`
 }
 
 // farmPlan validates a start request and resolves everything that shapes
@@ -151,19 +146,15 @@ func (s *Server) farmPlan(req *FarmStartRequest) (*farmJobSpec, error) {
 		MaxStmts: req.MaxStmts,
 		Order:    order,
 		Specs:    specList,
-		// The advisor variant only makes sense against built-in history;
-		// the compiled variant only when an artifact covering the order is
-		// already loaded (campaigns never wait for a toolchain build).
+		// The advisor variant only makes sense against built-in history.
 		Auto: len(specList) == 0,
 	}
-	if s.native != nil && len(specList) == 0 {
-		if art, loaded := s.native.cache.Lookup(s.native.builtin); loaded && art.Covers(order) {
-			spec.Compiled = true
-		}
-	}
+	// The trailing "false" is the retired compiled-variant flag; it stays in
+	// the hash so campaign IDs, and with them resubmission dedup against a
+	// recovered job log, are unchanged.
 	parts := []string{"farm/v1", spec.Profile,
 		fmt.Sprint(spec.Count), fmt.Sprint(spec.BaseSeed), fmt.Sprint(spec.MaxStmts),
-		strings.Join(spec.Order, ","), fmt.Sprint(spec.Auto), fmt.Sprint(spec.Compiled)}
+		strings.Join(spec.Order, ","), fmt.Sprint(spec.Auto), "false"}
 	for _, st := range specList {
 		parts = append(parts, st.Name, st.Text)
 	}
@@ -215,7 +206,6 @@ func (s *Server) farmChecker(spec *farmJobSpec) (*farm.Checker, error) {
 		sources[st.Name] = st.Text
 	}
 	variants := farm.DefaultVariants()
-	var pipelines map[string]farm.PipelineFunc
 	var autoOrder func(string) []string
 	if spec.Auto {
 		variants = append(variants, farm.Variant{Name: "interp:auto", Engine: farm.EngineInterp, Auto: true})
@@ -229,17 +219,12 @@ func (s *Server) farmChecker(spec *farmJobSpec) (*farm.Checker, error) {
 			return d.Order
 		}
 	}
-	if spec.Compiled && s.native != nil {
-		variants = append(variants, farm.Variant{Name: "compiled:default", Engine: "compiled"})
-		pipelines = map[string]farm.PipelineFunc{"compiled": s.farmCompiledPipeline}
-	}
 	ch, err := farm.NewChecker(farm.Config{
 		Sources:       sources,
 		Order:         spec.Order,
 		Variants:      variants,
 		MaxIterations: s.cfg.MaxIterations,
 		AutoOrder:     autoOrder,
-		Pipelines:     pipelines,
 	})
 	if err != nil {
 		return nil, err
@@ -252,56 +237,6 @@ func (s *Server) farmChecker(spec *farmJobSpec) (*farm.Checker, error) {
 	}
 	s.farm.mu.Unlock()
 	return ch, nil
-}
-
-// farmCompiledPipeline is the compiled-engine leg of the differential
-// matrix: the same native-artifact path /v1/optimize serves from, exposed
-// as a farm PipelineFunc. Census semantics match the interpreted leg
-// exactly — each pass runs once to fixpoint, in order — so the two engines
-// must agree application-for-application.
-func (s *Server) farmCompiledPipeline(ctx context.Context, source string, order []string, maxIter int) (*ir.Program, map[string]int, error) {
-	art, loaded := s.native.cache.Lookup(s.native.builtin)
-	if !loaded || !art.Covers(order) {
-		return nil, nil, errors.New("no loaded native artifact covers the campaign order")
-	}
-	if maxIter <= 0 {
-		maxIter = s.cfg.MaxIterations
-	}
-	census := make(map[string]int, len(order))
-	if art.InProcess() {
-		prog, err := frontend.Parse(source)
-		if err != nil {
-			return nil, nil, err
-		}
-		passes := make([]optlib.NamedApply, len(order))
-		for i, name := range order {
-			fn, _ := art.Func(name) // Covers checked above
-			passes[i] = optlib.NamedApply{Name: name, Apply: fn}
-		}
-		counts, err := optlib.PipelineCtx(ctx, prog, passes, optlib.Limits{MaxIterations: maxIter})
-		for _, ct := range counts {
-			census[ct.Name] += ct.Applications
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return prog, census, nil
-	}
-	res, err := art.RunPipeline(ctx, source, order, maxIter)
-	if err != nil {
-		return nil, nil, err
-	}
-	if perr := res.PipelineError(); perr != nil {
-		return nil, nil, perr
-	}
-	for _, ct := range res.Passes {
-		census[ct.Name] += ct.Applications
-	}
-	prog, err := frontend.Parse(res.MiniF)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reparsing compiled output: %w", err)
-	}
-	return prog, census, nil
 }
 
 // farmHooks wires campaign execution into the metric set.

@@ -79,11 +79,6 @@ type OptimizeResponse struct {
 	TotalUS      int64        `json:"total_us"`
 	// Cached reports whether this response came from the result cache.
 	Cached bool `json:"cached"`
-	// Engine names the execution engine that produced the body: "interp",
-	// "compiled-plugin" or "compiled-subprocess". Omitted (meaning interp)
-	// on servers that never enable the native engine, keeping the wire
-	// shape unchanged for existing clients.
-	Engine string `json:"engine,omitempty"`
 	// Order is the effective pass order, present only when the request
 	// carried an order directive (also stamped in X-Optd-Order).
 	Order []string `json:"order,omitempty"`
@@ -255,43 +250,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 			if err := json.Unmarshal(raw, &resp); err == nil {
 				resp.Cached = true
 				root.Set("cache", "hit")
-				setEngineHeader(w, resp.Engine)
 				setOrderHeader(w, resp.Order)
 				writeJSON(w, http.StatusOK, resp)
 				return nil
 			}
 		}
 		s.metrics.CacheMisses.Add(1)
-	}
-
-	// The compiled fast path: when a native artifact covering the whole
-	// pipeline is loaded, serve from it and skip the interpreted engine
-	// entirely. Any reason it cannot (engine off, tracing, artifact still
-	// building, load failure) falls through to the interpreter below.
-	if nresp, nerr, served := s.tryNative(r.Context(), &req, wantTrace); served {
-		if nerr != nil {
-			if nerr.parse {
-				return failf(http.StatusUnprocessableEntity, "parse_error", "%v", nerr.err)
-			}
-			return s.classify(nerr.err, nerr.pass, nerr.apps)
-		}
-		root.Set("engine", nresp.Engine)
-		if s.cfg.testHook != nil {
-			if err := s.cfg.testHook(r.Context()); err != nil {
-				return s.classify(err, "testhook", 0)
-			}
-		}
-		nresp.Order = order
-		if !req.NoCache && !wantTrace {
-			if raw, err := json.Marshal(nresp); err == nil {
-				s.cache.Put(key, raw)
-			}
-		}
-		s.harvestOptimize(&req, nresp)
-		setEngineHeader(w, nresp.Engine)
-		setOrderHeader(w, order)
-		writeJSON(w, http.StatusOK, *nresp)
-		return nil
 	}
 
 	var results []PassResult
@@ -344,17 +308,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 		Order:        order,
 		Trace:        tracer.Trees(),
 	}
-	if s.native != nil {
-		// Name the engine only on servers where the answer can vary.
-		resp.Engine = EngineInterp
-	}
 	if !req.NoCache && !wantTrace {
 		if raw, err := json.Marshal(resp); err == nil {
 			s.cache.Put(key, raw)
 		}
 	}
 	s.harvestOptimize(&req, &resp)
-	setEngineHeader(w, resp.Engine)
 	setOrderHeader(w, order)
 	writeJSON(w, http.StatusOK, resp)
 	return nil

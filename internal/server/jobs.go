@@ -364,37 +364,6 @@ func (s *Server) runJobAttempt(ctx context.Context, j *jobs.Job) (json.RawMessag
 		s.metrics.CacheMisses.Add(1)
 	}
 
-	// The compiled fast path, mirroring /v1/optimize: serve from a loaded
-	// native artifact when one covers the pipeline, interpret otherwise.
-	if nresp, nerr, served := s.tryNative(ctx, &req.OptimizeRequest, req.Trace); served {
-		if nerr != nil {
-			switch {
-			case nerr.parse:
-				return nil, jobs.Permanent(fmt.Errorf("parse error: %w", nerr.err))
-			case errors.Is(nerr.err, optlib.ErrIterationLimit):
-				s.metrics.IterationLimitAborts.Add(1)
-				return nil, jobs.Permanent(fmt.Errorf(
-					"pass %s hit its iteration limit after %d application(s)", nerr.pass, nerr.apps))
-			case ctx.Err() != nil:
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					s.metrics.Timeouts.Add(1)
-				}
-				return nil, ctx.Err()
-			default:
-				return nil, jobs.Permanent(fmt.Errorf("pass %s: %w", nerr.pass, nerr.err))
-			}
-		}
-		nresp.Order = order
-		raw, err := json.Marshal(nresp)
-		if err != nil {
-			return nil, jobs.Permanent(fmt.Errorf("unencodable job result: %w", err))
-		}
-		if key != "" {
-			s.cache.Put(key, raw)
-		}
-		return raw, nil
-	}
-
 	var results []PassResult
 	timing := func(spec string, apps int, d time.Duration) {
 		results = append(results, PassResult{Name: spec, Applications: apps, DurationUS: d.Microseconds()})
@@ -450,9 +419,6 @@ func (s *Server) runJobAttempt(ctx context.Context, j *jobs.Job) (json.RawMessag
 		ParseUS:      parseUS,
 		TotalUS:      time.Since(t0).Microseconds(),
 		Order:        order,
-	}
-	if s.native != nil {
-		resp.Engine = EngineInterp
 	}
 	if req.Trace {
 		// Join the engine's per-pass span trees under one job root so the

@@ -13,7 +13,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/farm"
 	"repro/internal/jobs"
-	"repro/internal/nativecache"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -87,23 +86,6 @@ type Metrics struct {
 	PatternChecks         atomic.Int64
 	DepChecks             atomic.Int64
 
-	// Native (compiled-optimizer) engine telemetry. nativeOn gates the
-	// JSON/Prometheus sections so interp-only servers keep their exact
-	// pre-native output. Hits/Misses/Corrupt count artifact-cache outcomes,
-	// Fallbacks counts native-eligible requests served interpreted because
-	// no artifact was loaded yet, and NativeCompileSeconds observes
-	// toolchain builds (source emission through install).
-	NativeHits             atomic.Int64
-	NativeMisses           atomic.Int64
-	NativeCorrupt          atomic.Int64
-	NativeFallbacks        atomic.Int64
-	NativeCompiles         atomic.Int64
-	NativeCompileFailures  atomic.Int64
-	NativeServedPlugin     atomic.Int64
-	NativeServedSubprocess atomic.Int64
-	NativeCompileSeconds   *obs.Histogram
-	nativeOn               atomic.Bool
-
 	// Pass-ordering advisor telemetry. advisorOn gates the JSON/Prometheus
 	// sections (set when the server constructs the advisor). The decision
 	// counters split requests by order directive: Auto counts order=auto
@@ -137,9 +119,6 @@ type Metrics struct {
 	FarmMinimizeSeconds *obs.Histogram
 	farmOn              atomic.Bool
 	farmCampaigns       func() []farm.CampaignStatus
-
-	nativeMu     sync.RWMutex
-	nativeLoaded map[string]string // spec → artifact mode, the per-spec loaded gauge
 
 	routeMu sync.RWMutex
 	routes  map[string]*routeStat
@@ -179,12 +158,8 @@ func newMetrics() *Metrics {
 	return &Metrics{
 		routes:         map[string]*routeStat{},
 		passes:         map[string]*passStat{},
-		nativeLoaded:   map[string]string{},
 		JobLatency:     obs.NewHistogram(obs.JobLatencyBuckets...),
 		ForwardLatency: obs.NewHistogram(),
-		// Toolchain builds run from ~250ms (warm build cache) to tens of
-		// seconds (cold); the default latency buckets top out far too low.
-		NativeCompileSeconds: obs.NewHistogram(0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60),
 		// Retrieval is a parse plus a linear scan of a few thousand small
 		// vectors: sub-millisecond typically, single-digit ms worst case.
 		AdvisorRetrieval: obs.NewHistogram(0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1),
@@ -212,52 +187,6 @@ func (m *Metrics) farmCampaignCounts() (total, running int64) {
 		}
 	}
 	return total, running
-}
-
-// nativeObs adapts the counter set to the artifact cache's telemetry hooks.
-func (m *Metrics) nativeObs() nativecache.Obs {
-	return nativecache.Obs{
-		Compile: func(d time.Duration, ok bool) {
-			if ok {
-				m.NativeCompiles.Add(1)
-			} else {
-				m.NativeCompileFailures.Add(1)
-			}
-			m.NativeCompileSeconds.Observe(d)
-		},
-		Event: func(kind string) {
-			switch kind {
-			case "hit":
-				m.NativeHits.Add(1)
-			case "miss":
-				m.NativeMisses.Add(1)
-			case "corrupt":
-				m.NativeCorrupt.Add(1)
-			}
-		},
-		Loaded: func(spec, mode string) {
-			m.nativeMu.Lock()
-			// A plugin load never downgrades the gauge to subprocess; both
-			// being loaded means in-process serving is available.
-			if prev, ok := m.nativeLoaded[spec]; !ok || prev != "plugin" {
-				m.nativeLoaded[spec] = mode
-			}
-			m.nativeMu.Unlock()
-		},
-	}
-}
-
-// nativeLoadedSnapshot returns the per-spec loaded gauge, sorted by spec.
-func (m *Metrics) nativeLoadedSnapshot() (specsSorted []string, modes map[string]string) {
-	m.nativeMu.RLock()
-	modes = make(map[string]string, len(m.nativeLoaded))
-	for k, v := range m.nativeLoaded {
-		modes[k] = v
-		specsSorted = append(specsSorted, k)
-	}
-	m.nativeMu.RUnlock()
-	sort.Strings(specsSorted)
-	return specsSorted, modes
 }
 
 // setClusterStatus installs the cluster identity and health snapshot
@@ -490,22 +419,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"panics_recovered":       m.PanicsRecovered.Load(),
 		"pass_latency":           passes,
 	}
-	if m.nativeOn.Load() {
-		_, loaded := m.nativeLoadedSnapshot()
-		snap["native"] = map[string]any{
-			"artifact_hits":    m.NativeHits.Load(),
-			"artifact_misses":  m.NativeMisses.Load(),
-			"artifact_corrupt": m.NativeCorrupt.Load(),
-			"fallbacks":        m.NativeFallbacks.Load(),
-			"compiles":         m.NativeCompiles.Load(),
-			"compile_failures": m.NativeCompileFailures.Load(),
-			"served": map[string]any{
-				"plugin":     m.NativeServedPlugin.Load(),
-				"subprocess": m.NativeServedSubprocess.Load(),
-			},
-			"loaded": loaded,
-		}
-	}
 	if m.advisorOn.Load() {
 		snap["advisor"] = map[string]any{
 			"store_records": m.AdvisorStoreRecords.Load(),
@@ -663,27 +576,6 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 	pw.IntSample("optd_jobs_finished_total", []obs.Label{obs.L("state", "cancelled")}, m.JobsCancelled.Load())
 	pw.Header("optd_jobs_duration_seconds", "Batch job enqueue-to-terminal latency.", "histogram")
 	pw.Histogram("optd_jobs_duration_seconds", nil, m.JobLatency.Snapshot())
-
-	if m.nativeOn.Load() {
-		pw.Header("optd_native_compile_seconds", "Native artifact toolchain build latency.", "histogram")
-		pw.Histogram("optd_native_compile_seconds", nil, m.NativeCompileSeconds.Snapshot())
-		pw.Header("optd_native_compiles_total", "Native artifact toolchain builds by result.", "counter")
-		pw.IntSample("optd_native_compiles_total", []obs.Label{obs.L("result", "ok")}, m.NativeCompiles.Load())
-		pw.IntSample("optd_native_compiles_total", []obs.Label{obs.L("result", "error")}, m.NativeCompileFailures.Load())
-		pw.Header("optd_native_artifacts_total", "Native artifact cache outcomes by event.", "counter")
-		pw.IntSample("optd_native_artifacts_total", []obs.Label{obs.L("event", "hit")}, m.NativeHits.Load())
-		pw.IntSample("optd_native_artifacts_total", []obs.Label{obs.L("event", "miss")}, m.NativeMisses.Load())
-		pw.IntSample("optd_native_artifacts_total", []obs.Label{obs.L("event", "corrupt")}, m.NativeCorrupt.Load())
-		pw.IntSample("optd_native_artifacts_total", []obs.Label{obs.L("event", "fallback")}, m.NativeFallbacks.Load())
-		pw.Header("optd_native_served_total", "Requests served by compiled optimizers, by execution mode.", "counter")
-		pw.IntSample("optd_native_served_total", []obs.Label{obs.L("mode", "plugin")}, m.NativeServedPlugin.Load())
-		pw.IntSample("optd_native_served_total", []obs.Label{obs.L("mode", "subprocess")}, m.NativeServedSubprocess.Load())
-		pw.Header("optd_native_spec_loaded", "Whether a compiled optimizer is loaded for the spec (1 when loaded).", "gauge")
-		specsSorted, loaded := m.nativeLoadedSnapshot()
-		for _, spec := range specsSorted {
-			pw.IntSample("optd_native_spec_loaded", []obs.Label{obs.L("spec", spec), obs.L("mode", loaded[spec])}, 1)
-		}
-	}
 
 	if m.advisorOn.Load() {
 		pw.Header("optd_advisor_store_records", "Outcome records live in the advisor store.", "gauge")

@@ -90,17 +90,6 @@ type Config struct {
 	ProbeInterval   time.Duration
 	ProbeBackoffCap time.Duration
 
-	// Engine selects the optimizer execution engine for /v1/optimize and
-	// /v1/jobs: EngineInterp (or empty) runs the interpreted closure
-	// engine; EngineAuto serves from compiled artifacts whenever one is
-	// loaded, falling back to the interpreter transparently; EngineCompiled
-	// additionally builds (or loads) the built-in artifact before New
-	// returns and fails construction if it cannot.
-	Engine string
-	// NativeDir is the compiled-artifact cache directory; empty selects
-	// nativecache.DefaultDir(). Only used when Engine is auto or compiled.
-	NativeDir string
-
 	// AdvisorDir holds the pass-ordering advisor's outcome store; empty
 	// keeps the harvested history in memory only (lost on restart). The
 	// advisor itself is always on — order=auto against an empty store falls
@@ -179,7 +168,6 @@ type Server struct {
 	sessions *sessionStore
 	jobs     *jobs.Manager
 	cluster  *cluster.Cluster // nil on a single node
-	native   *native          // nil when serving interpreted only
 	advisor  *advisor.Advisor
 	traces   *trace.Store // nil when Config.TraceStore < 0
 	farm     *farmState
@@ -231,29 +219,6 @@ func New(cfg Config) (*Server, error) {
 		s.traces = ts
 		s.metrics.setTraceStats(ts.Stats)
 	}
-	switch cfg.Engine {
-	case "", EngineInterp:
-	case EngineAuto, EngineCompiled:
-		n, err := newNative(cfg, s.metrics)
-		if err != nil {
-			if cfg.Engine == EngineCompiled {
-				s.sessions.close()
-				_ = s.traces.Close()
-				return nil, fmt.Errorf("server: compiled engine unavailable: %w", err)
-			}
-			// auto degrades: serve interpreted, leave the cache off so every
-			// request skips straight to the engine.
-			cfg.Logger.Warn("server: native engine unavailable, serving interpreted", slog.Any("err", err))
-		} else {
-			s.native = n
-			s.metrics.nativeOn.Store(true)
-		}
-	default:
-		s.sessions.close()
-		_ = s.traces.Close()
-		return nil, fmt.Errorf("server: unknown engine %q (have %s, %s, %s)",
-			cfg.Engine, EngineInterp, EngineAuto, EngineCompiled)
-	}
 	adv, err := advisor.Open(advisor.Config{
 		Dir:          cfg.AdvisorDir,
 		K:            cfg.AdvisorK,
@@ -265,7 +230,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		s.sessions.close()
 		_ = s.traces.Close()
-		s.native.close()
 		return nil, fmt.Errorf("server: opening advisor dir %q: %w", cfg.AdvisorDir, err)
 	}
 	s.advisor = adv
@@ -274,7 +238,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		s.sessions.close()
 		_ = s.traces.Close()
-		s.native.close()
 		_ = s.advisor.Close()
 		return nil, fmt.Errorf("server: opening farm dir %q: %w", cfg.FarmDir, err)
 	}
@@ -292,7 +255,6 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			s.sessions.close()
 			_ = s.traces.Close()
-			s.native.close()
 			_ = s.advisor.Close()
 			_ = s.farm.close()
 			return nil, err
@@ -318,7 +280,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		s.sessions.close()
 		_ = s.traces.Close()
-		s.native.close()
 		_ = s.advisor.Close()
 		_ = s.farm.close()
 		if s.cluster != nil {
@@ -420,9 +381,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	defer s.sessions.close()
 	defer func() { _ = s.traces.Close() }()
-	// Waits for any background artifact build so temp dirs and cache files
-	// are quiescent when the caller tears the directory down.
-	defer s.native.close()
 	if s.cluster != nil {
 		defer s.cluster.Close()
 	}

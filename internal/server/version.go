@@ -9,6 +9,11 @@ import (
 	"repro/internal/codegen"
 )
 
+// EngineInterp names the execution engine in /v1/version, on every trace
+// root's "engine" attribute and in the advisor's outcome records: optd runs
+// every pipeline on the interpreted GOSpeL engine.
+const EngineInterp = "interp"
+
 // VersionResponse is the GET /v1/version body: enough identity to tell
 // which build and configuration answered — the same facts the
 // optd_build_info gauge exposes, in queryable form.
@@ -19,12 +24,11 @@ type VersionResponse struct {
 	Module string `json:"module"`
 	// Go is the toolchain that built the binary.
 	Go string `json:"go"`
-	// CodegenVersion is the compiled-optimizer ABI version baked into native
-	// artifact cache keys.
+	// CodegenVersion is the code generator's output-format version.
 	CodegenVersion string `json:"codegen_version"`
 	// VNodes is the consistent-hash ring's virtual-node count per member.
 	VNodes int `json:"vnodes"`
-	// Engine is the configured execution engine (interp, auto, compiled).
+	// Engine is the execution engine; always EngineInterp.
 	Engine string `json:"engine"`
 	// Node is the cluster advertise address; empty on a single node.
 	Node string `json:"node,omitempty"`
@@ -38,17 +42,13 @@ func moduleVersion() string {
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) error {
-	engine := s.cfg.Engine
-	if engine == "" {
-		engine = EngineInterp
-	}
 	v := VersionResponse{
 		Service:        "optd",
 		Module:         moduleVersion(),
 		Go:             runtime.Version(),
 		CodegenVersion: codegen.Version,
 		VNodes:         cluster.DefaultVNodes,
-		Engine:         engine,
+		Engine:         EngineInterp,
 	}
 	if s.cluster != nil {
 		v.Node = s.cluster.Self()

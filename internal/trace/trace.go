@@ -6,14 +6,13 @@
 // It complements internal/obs rather than replacing it: obs.Tracer builds
 // the single-request inline span forest returned by ?trace=1, while this
 // package mints cluster-wide identities — a trace ID shared across one-hop
-// forwards, job WAL records, advisor replay sweeps and native subprocess
-// invocations — and retains a queryable sample of completed traces on every
-// node. The propagation format is the W3C traceparent header,
+// forwards, job WAL records and advisor replay sweeps — and retains a
+// queryable sample of completed traces on every node. The propagation
+// format is the W3C traceparent header,
 //
 //	00-<32 hex trace id>-<16 hex parent span id>-01
 //
-// carried on forwarded requests, stored in job records, and exported to
-// compiled subprocess runners through the TRACEPARENT environment variable.
+// carried on forwarded requests and stored in job records.
 package trace
 
 import (
@@ -26,10 +25,6 @@ import (
 // TraceparentHeader is the propagation header name. Lowercase per the W3C
 // Trace Context spec; Go's http.Header canonicalizes it either way.
 const TraceparentHeader = "Traceparent"
-
-// EnvTraceparent is the environment variable carrying the trace context
-// into native subprocess runners.
-const EnvTraceparent = "TRACEPARENT"
 
 // SpanContext is the propagated identity pair: which trace a unit of work
 // belongs to and which span is its parent.

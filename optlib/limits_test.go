@@ -42,34 +42,32 @@ func TestFixpointIterationLimit(t *testing.T) {
 }
 
 // TestFixpointConverges: a converging apply function returns a nil error and
-// the exact application count, under both dependence-maintenance modes.
+// the exact application count.
 func TestFixpointConverges(t *testing.T) {
-	for _, full := range []bool{false, true} {
-		p, s := limitProgram()
-		left := 3
-		apply := func(p *ir.Program, g *dep.Graph, seen map[string]bool) bool {
-			if left == 0 {
-				return false
-			}
-			left--
-			lit := "sub"
-			if s.Op == ir.OpSub {
-				lit = "add"
-			}
-			if err := ModifyOpc(s, lit); err != nil {
-				t.Fatal(err)
-			}
-			return true
+	p, s := limitProgram()
+	left := 3
+	apply := func(p *ir.Program, g *dep.Graph, seen map[string]bool) bool {
+		if left == 0 {
+			return false
 		}
-		n, err := Fixpoint(p, apply, Limits{FullRecompute: full})
-		if err != nil {
-			t.Fatalf("FullRecompute=%t: unexpected error %v", full, err)
+		left--
+		lit := "sub"
+		if s.Op == ir.OpSub {
+			lit = "add"
 		}
-		if n != 3 {
-			t.Fatalf("FullRecompute=%t: %d applications, want 3", full, n)
+		if err := ModifyOpc(s, lit); err != nil {
+			t.Fatal(err)
 		}
-		if p.Journal() != nil {
-			t.Fatalf("FullRecompute=%t: Fixpoint leaked its owned journal", full)
-		}
+		return true
+	}
+	n, err := Fixpoint(p, apply, Limits{})
+	if err != nil {
+		t.Fatalf("unexpected error %v", err)
+	}
+	if n != 3 {
+		t.Fatalf("%d applications, want 3", n)
+	}
+	if p.Journal() != nil {
+		t.Fatal("Fixpoint leaked its owned journal")
 	}
 }

@@ -29,6 +29,13 @@ var (
 	ErrNotConst = errors.New("optlib: eval needs constant operands")
 )
 
+// ParseMiniF parses MiniF source into a program. Code outside the repro
+// module, such as a generated optimizer built as its own module, cannot
+// import repro's internal packages; this is its way to read programs.
+func ParseMiniF(src string) (*ir.Program, error) {
+	return frontend.Parse(src)
+}
+
 // --- pattern-matching predicates ---
 
 // OpcIs reports whether the statement's opcode matches the GOSpeL opc
@@ -446,43 +453,11 @@ const DefaultMaxIterations = 1000
 // returned alongside it.
 var ErrIterationLimit = errors.New("optlib: fixpoint iteration limit reached without convergence")
 
-// FixpointEvent describes one iteration of a Fixpoint run, emitted
-// through Limits.OnEvent for observability: which iteration ran, whether
-// an application was performed, and how the dependence graph was
-// refreshed afterwards.
-type FixpointEvent struct {
-	// Iteration is the 0-based loop iteration.
-	Iteration int
-	// Applied reports whether this iteration performed an application
-	// (false only on the final, fixpoint-reaching search).
-	Applied bool
-	// Incremental reports whether the dependence refresh consumed the
-	// change journal in place; false means the structural fallback or a
-	// configured full recomputation rebuilt the graph from scratch.
-	// Meaningless when Applied is false.
-	Incremental bool
-}
-
-// Limits configures a Fixpoint run. The zero value selects the defaults:
-// DefaultMaxIterations and incremental dependence maintenance.
+// Limits configures a Fixpoint run. The zero value selects
+// DefaultMaxIterations.
 type Limits struct {
 	// MaxIterations bounds the fixpoint loop; 0 means DefaultMaxIterations.
 	MaxIterations int
-	// FullRecompute rebuilds the dependence graph from scratch after every
-	// application instead of incrementally updating it from the change
-	// journal (the seed behavior; kept for differential benchmarking).
-	FullRecompute bool
-	// OnEvent, when non-nil, observes every fixpoint iteration. It is
-	// called synchronously from the loop; keep it cheap.
-	OnEvent func(FixpointEvent)
-}
-
-// maxIterations resolves MaxIterations' zero default.
-func (l Limits) maxIterations() int {
-	if l.MaxIterations <= 0 {
-		return DefaultMaxIterations
-	}
-	return l.MaxIterations
 }
 
 // Fixpoint runs the Fig. 5 loop to fixpoint: search, apply, refresh
@@ -503,25 +478,33 @@ func Fixpoint(p *ir.Program, apply ApplyFunc, lim Limits) (int, error) {
 // iterations and stops early with ctx.Err() when the context is cancelled or
 // its deadline passes. The application count up to the stop is returned; the
 // program is left in its partially-optimized (but structurally valid) state.
-// This is the entry point long-running services use to bound per-request
-// optimization time.
 func FixpointCtx(ctx context.Context, p *ir.Program, apply ApplyFunc, lim Limits) (int, error) {
 	log, owned := p.EnsureLog()
 	if owned {
 		defer log.Detach()
 	}
-	return fixpointShared(ctx, p, dep.Compute(p), apply, owned, lim)
-}
-
-// Driver runs Fixpoint with default limits, preserving the original
-// count-only interface for existing callers. A run that hits the iteration
-// cap is reported on stderr instead of being silently truncated.
-func Driver(p *ir.Program, apply ApplyFunc) int {
-	n, err := Fixpoint(p, apply, Limits{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "optlib: driver stopped after %d application(s): %v\n", n, err)
+	limit := lim.MaxIterations
+	if limit <= 0 {
+		limit = DefaultMaxIterations
 	}
-	return n
+	g := dep.Compute(p)
+	seen := map[string]bool{}
+	n := 0
+	for i := 0; i < limit; i++ {
+		if err := ctx.Err(); err != nil {
+			return n, err
+		}
+		start := log.Mark()
+		if !apply(p, g, seen) {
+			return n, nil
+		}
+		n++
+		g.Update(log.Since(start))
+		if owned {
+			log.Reset()
+		}
+	}
+	return n, ErrIterationLimit
 }
 
 // Sig2 / Sig3 / SigN build application-point signatures matching the

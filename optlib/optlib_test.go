@@ -219,8 +219,8 @@ END`)
 		}
 		return false
 	}
-	n := Driver(p, apply)
-	if n != 2 {
+	n, err := Fixpoint(p, apply, Limits{})
+	if err != nil || n != 2 {
 		t.Fatalf("driver applied %d, want 2\n%s", n, p)
 	}
 	if SigN("b", "a") != "a;b" || SigN() != "" {

@@ -9,9 +9,6 @@
 #   scripts/bench.sh -overhead       # run BenchmarkDriverFixpointObs and fail
 #                                    # if the disabled tracer costs >5% over
 #                                    # no tracer at all
-#   scripts/bench.sh -native         # run BenchmarkCompiledFixpoint and fail
-#                                    # unless the compiled fast path is at
-#                                    # least 1.5x the interpreted engine
 #   scripts/bench.sh -advisor        # run BenchmarkAdvisorOrder and fail if
 #                                    # order=auto costs >5% over order=default
 #                                    # on an identical pipeline
@@ -29,21 +26,19 @@ COUNT=${COUNT:-6}
 OUT=${OUT:-bench-new.txt}
 BASELINE=
 OVERHEAD=
-NATIVE=
 ADVISOR=
 
 while [ $# -gt 0 ]; do
   case "$1" in
     -c) BASELINE=$2; shift 2 ;;
     -overhead) OVERHEAD=1; shift ;;
-    -native) NATIVE=1; shift ;;
     -advisor) ADVISOR=1; shift ;;
-    *) echo "usage: scripts/bench.sh [-c baseline.txt] [-overhead] [-native] [-advisor]" >&2; exit 2 ;;
+    *) echo "usage: scripts/bench.sh [-c baseline.txt] [-overhead] [-advisor]" >&2; exit 2 ;;
   esac
 done
 
-# run_gated BENCHREGEX: one discarded warmup iteration (fills toolchain,
-# page and artifact caches), then COUNT measured series at -benchtime 3x.
+# run_gated BENCHREGEX: one discarded warmup iteration (fills toolchain
+# and page caches), then COUNT measured series at -benchtime 3x.
 # Gate math downstream takes the best (minimum) of each series, so a single
 # noisy-neighbor episode on a shared runner cannot flip a ratio gate.
 run_gated() {
@@ -64,25 +59,6 @@ if [ -n "$OVERHEAD" ]; then
       printf "overhead: none=%.0f ns/op disabled=%.0f ns/op ratio=%.3f (best of %d)\n", none, dis, ratio, nc
       if (ratio > 1.05) { print "FAIL: disabled-tracer overhead exceeds 5%"; exit 1 }
       print "OK: disabled-tracer overhead within 5%"
-    }' "$OUT"
-  exit 0
-fi
-
-if [ -n "$NATIVE" ]; then
-  # Compare the compiled (plugin artifact + shared-graph pipeline) and
-  # interpreted engines on the paper-scale corpus: the compiled serving
-  # fast path must hold a >=1.5x steady-state speedup. The benchmark's own
-  # setup already proves the outputs byte-identical.
-  run_gated 'BenchmarkCompiledFixpoint/(interpreted|compiled)$'
-  awk '
-    /CompiledFixpoint\/interpreted/ { if (!ic || $3 < interp) interp = $3; ic++ }
-    /CompiledFixpoint\/compiled/    { if (!cc || $3 < comp)   comp   = $3; cc++ }
-    END {
-      if (ic == 0 || cc == 0) { print "native: missing benchmark output (plugin artifact unavailable?)"; exit 1 }
-      ratio = interp / comp
-      printf "native: interpreted=%.0f ns/op compiled=%.0f ns/op speedup=%.2fx (best of %d)\n", interp, comp, ratio, ic
-      if (ratio < 1.5) { print "FAIL: compiled speedup below 1.5x"; exit 1 }
-      print "OK: compiled fast path is >=1.5x over the interpreted engine"
     }' "$OUT"
   exit 0
 fi
