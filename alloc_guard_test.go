@@ -16,18 +16,22 @@ import (
 )
 
 // maxHompackAllocMB bounds the bytes the interpreted CTP,CFO,DCE,FUS,PAR
-// pipeline allocates per hompack-ish program. It is about 34 MB, nearly all
-// of it dependence-graph construction, when the precondition search binds
-// into one reusable slot frame with compact candidate tuples; about 121 MB
-// when every candidate was a fresh binding map; about 157 MB when
-// dependence updates spliced edges into per-statement buckets and solved
-// the name-restricted dataflow in flat bit buffers; about 193 MB when each
-// update re-hashes and relinks the whole edge list and allocates a bit set
-// per statement per solver iteration, and about 570 MB when the
-// enumeration-order heuristic also materializes the edge lists it only
-// counts, liveness is computed eagerly and an edit re-runs every pair test
-// of the arrays it touches.
-const maxHompackAllocMB = 40
+// pipeline allocates per hompack-ish program. It is about 19 MB, most of it
+// the pending edges of each pass's dep.Compute, when a full build adopts
+// its pending buffer as the edge arena, runs its analysis in the graph's
+// reusable dataflow workspace and the workspace rebuilds its CFGs in place;
+// about 34 MB, nearly all of it dependence-graph construction, when the
+// precondition search binds into one reusable slot frame with compact
+// candidate tuples and each build copied its edges into an arena grown by
+// appending; about 121 MB when every candidate was a fresh binding map;
+// about 157 MB when dependence updates spliced edges into per-statement
+// buckets and solved the name-restricted dataflow in flat bit buffers;
+// about 193 MB when each update re-hashes and relinks the whole edge list
+// and allocates a bit set per statement per solver iteration, and about
+// 570 MB when the enumeration-order heuristic also materializes the edge
+// lists it only counts, liveness is computed eagerly and an edit re-runs
+// every pair test of the arrays it touches.
+const maxHompackAllocMB = 22
 
 // TestHompackPipelineAllocations guards that figure. Race builds are
 // excluded: the race detector's instrumentation changes allocation totals.

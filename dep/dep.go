@@ -196,9 +196,9 @@ type Graph struct {
 	// of the program's statement list.
 	Entry *ir.Stmt
 
-	// flow retains the underlying dataflow analysis (liveness etc.) for
-	// clients such as the benefit estimator. It is dropped by incremental
-	// updates and recomputed lazily on the next Dataflow call.
+	// flow is the dataflow analysis (liveness etc.) Dataflow returns,
+	// computed on its first call after a build or update. The builds and
+	// updates themselves analyze in up.flow, which they overwrite.
 	flow *dataflow.Analysis
 
 	// The edge store. edges is an arena addressed by edge ID, class holds
@@ -387,13 +387,14 @@ func Compute(p *ir.Program) *Graph {
 // statement's identity so existing bindings to it stay valid.
 func (g *Graph) recompute() {
 	p := g.Prog
-	g.edges, g.class, g.free = g.edges[:0], g.class[:0], g.free[:0]
+	// The old arena is dead: derive into it, and commit adopts it again.
+	clear(g.edges)
+	g.pending, g.edges = g.edges[:0], nil
 	clear(g.scalars)
 	g.arrays = make(map[string]bool)
 	g.lt = buildLoopTable(p, g.lt)
-	a := dataflow.Analyze(p)
-	g.flow = a
-	g.scalarDepsFrom(a, g.lt)
+	g.flow = nil
+	g.scalarDepsFrom(g.up.flow.AnalyzeNames(p, nil), g.lt)
 	g.arrayDeps(g.lt, nil)
 	g.controlDeps()
 	g.commit()
@@ -433,20 +434,39 @@ func (g *Graph) insert(d Dependence) int32 {
 // exact duplicates dropped, fill fresh buckets in order. Derivations may
 // emit one edge several times; the comparison covers every field (Vec
 // determines Level and Carried), so duplicates sort next to each other.
+// The pending buffer becomes the edge arena: each edge keeps its pending
+// index as its ID, and a dropped duplicate's ID goes to the free list.
 func (g *Graph) commit() {
 	g.kindsOK = [numKinds]bool{}
 	n := g.Prog.Len() + 1
 	g.from = resetBuckets(g.from, n)
 	g.to = resetBuckets(g.to, n)
 	g.stmts = append(g.stmts[:0], g.Prog.Stmts()...)
-	for _, i := range g.sortPending(g.compare) {
-		id := g.insert(g.pending[i])
-		d := &g.edges[id]
-		si, di := g.slot(d.Src), g.slot(d.Dst)
-		g.from[si] = append(g.from[si], id)
-		g.to[di] = append(g.to[di], id)
+	order := g.sortPending(g.key)
+	g.edges, g.pending = g.pending, nil
+	g.class = slices.Grow(g.class[:0], len(g.edges))[:len(g.edges)]
+	g.free = g.free[:0]
+	var last keyed
+	for i, k := range order {
+		d := &g.edges[k.id]
+		if i > 0 && repeats(g.edges, last, k) {
+			*d = Dependence{}
+			g.free = append(g.free, k.id)
+			continue
+		}
+		last = k
+		c := g.classify(d)
+		g.class[k.id] = c
+		if c == scalarEdge {
+			if g.scalars == nil {
+				g.scalars = make(map[string][]int32)
+			}
+			g.scalars[d.Var] = append(g.scalars[d.Var], k.id)
+		}
+		si, di := k.key>>31&posMask, k.key&posMask
+		g.from[si] = append(g.from[si], k.id)
+		g.to[di] = append(g.to[di], k.id)
 	}
-	g.pending = g.pending[:0]
 }
 
 // resetBuckets returns n empty buckets, reusing b's backing arrays.
@@ -461,37 +481,69 @@ func resetBuckets(b [][]int32, n int) [][]int32 {
 	return b
 }
 
-// sortPending returns the indices of the pending edges ordered by cmp, one
-// index per run of edges cmp finds equal.
-func (g *Graph) sortPending(cmp func(a, b *Dependence) int) []int32 {
-	order := g.up.order[:0]
-	for i := range g.pending {
-		order = append(order, int32(i))
-	}
-	slices.SortFunc(order, func(x, y int32) int { return cmp(&g.pending[x], &g.pending[y]) })
-	out := order[:0]
-	for _, i := range order {
-		if k := len(out); k > 0 && cmp(&g.pending[out[k-1]], &g.pending[i]) == 0 {
-			continue
-		}
-		out = append(out, i)
-	}
-	g.up.order = order
-	return out
+// keyed is an edge ID (or pending index) with its sort key.
+type keyed struct {
+	key uint64
+	id  int32
 }
 
-// compare is the canonical edge order: a total order on distinct edges,
-// anchored at statement positions (Entry first).
-func (g *Graph) compare(a, b *Dependence) int {
-	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
-		return c
+// A sort key packs an edge's kind and its two statement slots (position+1,
+// so Entry is 0) into one integer, in the order a sort needs; the fields
+// after them in the canonical order (compareRest) only break key ties.
+// Slots take 31 bits and the kind 2.
+const posMask = 1<<31 - 1
+
+// key orders by (kind, source, destination). Followed by compareRest it is
+// the canonical edge order: a total order on distinct edges, anchored at
+// statement positions (Entry first).
+func (g *Graph) key(d *Dependence) uint64 {
+	return uint64(d.Kind)<<62 | uint64(g.pos(d.Src)+1)<<31 | uint64(g.pos(d.Dst)+1)
+}
+
+// srcKey orders by (source, kind, destination): the canonical order
+// grouped by source bucket.
+func (g *Graph) srcKey(d *Dependence) uint64 {
+	return uint64(g.pos(d.Src)+1)<<33 | uint64(d.Kind)<<31 | uint64(g.pos(d.Dst)+1)
+}
+
+// dstKey orders by (destination, kind, source): the canonical order
+// grouped by destination bucket.
+func (g *Graph) dstKey(d *Dependence) uint64 {
+	return uint64(g.pos(d.Dst)+1)<<33 | uint64(d.Kind)<<31 | uint64(g.pos(d.Src)+1)
+}
+
+// sortKeyed sorts ks by key, breaking ties by the rest of the canonical
+// order on edges[id].
+func sortKeyed(ks []keyed, edges []Dependence) {
+	slices.SortFunc(ks, func(x, y keyed) int {
+		if x.key != y.key {
+			return cmp.Compare(x.key, y.key)
+		}
+		return compareRest(&edges[x.id], &edges[y.id])
+	})
+}
+
+// sortPending returns the pending edges ordered by key and then by the rest
+// of the canonical order; identical edges are adjacent.
+func (g *Graph) sortPending(key func(*Dependence) uint64) []keyed {
+	ks := slices.Grow(g.up.keyed[:0], len(g.pending))
+	for i := range g.pending {
+		ks = append(ks, keyed{key(&g.pending[i]), int32(i)})
 	}
-	if c := cmp.Compare(g.pos(a.Src), g.pos(b.Src)); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(g.pos(a.Dst), g.pos(b.Dst)); c != 0 {
-		return c
-	}
+	sortKeyed(ks, g.pending)
+	g.up.keyed = ks
+	return ks
+}
+
+// repeats reports whether b, sorted after a by sortKeyed over edges, is
+// the same edge as a.
+func repeats(edges []Dependence, a, b keyed) bool {
+	return a.key == b.key && compareRest(&edges[a.id], &edges[b.id]) == 0
+}
+
+// compareRest is the canonical order after kind, source and destination
+// position.
+func compareRest(a, b *Dependence) int {
 	if c := strings.Compare(a.Var, b.Var); c != 0 {
 		return c
 	}

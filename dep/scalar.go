@@ -9,119 +9,115 @@ import "repro/internal/dataflow"
 // access is exposed from that loop's body entry). The analysis may be
 // name-restricted (dataflow.Workspace.AnalyzeNames): only dependences among
 // its collected defs/uses are produced, which is how incremental updates
-// rebuild just the dirty names.
+// rebuild just the dirty names. Each dependence pairs two sites of one
+// name, so the pairs are drawn from the analysis's per-name site runs.
 func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
 	p := g.Prog
+	for name := range a.ScalarNames() {
+		defs, uses := a.ScalarSites(name)
 
-	// Flow dependences: def d at s reaching scalar use u at t.
-	for ui, u := range a.Uses {
-		if u.IsArray {
-			continue
-		}
-		t := p.At(u.StmtIdx)
-		for di, d := range a.Defs {
-			if d.IsArray || d.Name != u.Name {
-				continue
-			}
-			s := p.At(d.StmtIdx)
-			if !a.ReachIn[u.StmtIdx].Has(di) {
-				continue
-			}
-			common := lt.common(d.StmtIdx, u.StmtIdx)
-			if a.ReachInF[u.StmtIdx].Has(di) && d.StmtIdx < u.StmtIdx {
-				g.add(Dependence{
-					Kind: Flow, Src: s, Dst: t, Var: d.Name,
-					Vec: eqVector(len(common)), SrcPos: 1, DstPos: u.Pos,
-				})
-			}
-			for k, l := range common {
-				if !l.Contains(p, s) {
-					continue // carried deps need the source inside the loop
+		// Flow dependences: def d at s reaching scalar use u at t.
+		for _, ui := range uses {
+			u := a.Uses[ui]
+			t := p.At(u.StmtIdx)
+			for _, di := range defs {
+				d := a.Defs[di]
+				s := p.At(d.StmtIdx)
+				if !a.ReachIn[u.StmtIdx].Has(di) {
+					continue
 				}
-				endIdx := p.Index(l.End)
-				headIdx := p.Index(l.Head)
-				if a.ReachInF[endIdx].Has(di) && a.ExposedUses[headIdx].Has(ui) {
+				common := lt.common(d.StmtIdx, u.StmtIdx)
+				if a.ReachInF[u.StmtIdx].Has(di) && d.StmtIdx < u.StmtIdx {
 					g.add(Dependence{
 						Kind: Flow, Src: s, Dst: t, Var: d.Name,
-						Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: u.Pos,
-						Carried: true, Level: k + 1,
+						Vec: eqVector(len(common)), SrcPos: 1, DstPos: u.Pos,
 					})
 				}
+				for k, l := range common {
+					if !l.Contains(p, s) {
+						continue // carried deps need the source inside the loop
+					}
+					endIdx := p.Index(l.End)
+					headIdx := p.Index(l.Head)
+					if a.ReachInF[endIdx].Has(di) && a.ExposedUses[headIdx].Has(ui) {
+						g.add(Dependence{
+							Kind: Flow, Src: s, Dst: t, Var: d.Name,
+							Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: u.Pos,
+							Carried: true, Level: k + 1,
+						})
+					}
+				}
 			}
 		}
-	}
 
-	// Anti dependences: scalar use u at s reaching a scalar def at t.
-	for di, d := range a.Defs {
-		if d.IsArray {
-			continue
-		}
-		t := p.At(d.StmtIdx)
-		for ui, u := range a.Uses {
-			if u.IsArray || u.Name != d.Name {
-				continue
-			}
-			s := p.At(u.StmtIdx)
-			if !a.UseReachIn[d.StmtIdx].Has(ui) {
-				continue
-			}
-			common := lt.common(u.StmtIdx, d.StmtIdx)
-			if a.UseReachInF[d.StmtIdx].Has(ui) && u.StmtIdx < d.StmtIdx {
-				g.add(Dependence{
-					Kind: Anti, Src: s, Dst: t, Var: d.Name,
-					Vec: eqVector(len(common)), SrcPos: u.Pos, DstPos: 1,
-				})
-			}
-			for k, l := range common {
-				if !l.Contains(p, s) {
+		// Anti dependences: scalar use u at s reaching a scalar def at t.
+		for _, di := range defs {
+			d := a.Defs[di]
+			t := p.At(d.StmtIdx)
+			for _, ui := range uses {
+				u := a.Uses[ui]
+				s := p.At(u.StmtIdx)
+				if !a.UseReachIn[d.StmtIdx].Has(ui) {
 					continue
 				}
-				endIdx := p.Index(l.End)
-				headIdx := p.Index(l.Head)
-				if a.UseReachInF[endIdx].Has(ui) && a.ExposedDefs[headIdx].Has(di) {
+				common := lt.common(u.StmtIdx, d.StmtIdx)
+				if a.UseReachInF[d.StmtIdx].Has(ui) && u.StmtIdx < d.StmtIdx {
 					g.add(Dependence{
 						Kind: Anti, Src: s, Dst: t, Var: d.Name,
-						Vec: carriedVector(len(common), k), SrcPos: u.Pos, DstPos: 1,
-						Carried: true, Level: k + 1,
+						Vec: eqVector(len(common)), SrcPos: u.Pos, DstPos: 1,
 					})
+				}
+				for k, l := range common {
+					if !l.Contains(p, s) {
+						continue
+					}
+					endIdx := p.Index(l.End)
+					headIdx := p.Index(l.Head)
+					if a.UseReachInF[endIdx].Has(ui) && a.ExposedDefs[headIdx].Has(di) {
+						g.add(Dependence{
+							Kind: Anti, Src: s, Dst: t, Var: d.Name,
+							Vec: carriedVector(len(common), k), SrcPos: u.Pos, DstPos: 1,
+							Carried: true, Level: k + 1,
+						})
+					}
 				}
 			}
 		}
-	}
 
-	// Output dependences: scalar def at s reaching a scalar redefinition at t.
-	for dj, e := range a.Defs {
-		if e.IsArray {
-			continue
-		}
-		t := p.At(e.StmtIdx)
-		for di, d := range a.Defs {
-			if di == dj || d.IsArray || d.Name != e.Name {
-				continue
-			}
-			s := p.At(d.StmtIdx)
-			if !a.ReachIn[e.StmtIdx].Has(di) {
-				continue
-			}
-			common := lt.common(d.StmtIdx, e.StmtIdx)
-			if a.ReachInF[e.StmtIdx].Has(di) && d.StmtIdx < e.StmtIdx {
-				g.add(Dependence{
-					Kind: Output, Src: s, Dst: t, Var: d.Name,
-					Vec: eqVector(len(common)), SrcPos: 1, DstPos: 1,
-				})
-			}
-			for k, l := range common {
-				if !l.Contains(p, s) {
+		// Output dependences: scalar def at s reaching a scalar
+		// redefinition at t.
+		for _, dj := range defs {
+			e := a.Defs[dj]
+			t := p.At(e.StmtIdx)
+			for _, di := range defs {
+				if di == dj {
 					continue
 				}
-				endIdx := p.Index(l.End)
-				headIdx := p.Index(l.Head)
-				if a.ReachInF[endIdx].Has(di) && a.ExposedDefs[headIdx].Has(dj) {
+				d := a.Defs[di]
+				s := p.At(d.StmtIdx)
+				if !a.ReachIn[e.StmtIdx].Has(di) {
+					continue
+				}
+				common := lt.common(d.StmtIdx, e.StmtIdx)
+				if a.ReachInF[e.StmtIdx].Has(di) && d.StmtIdx < e.StmtIdx {
 					g.add(Dependence{
 						Kind: Output, Src: s, Dst: t, Var: d.Name,
-						Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: 1,
-						Carried: true, Level: k + 1,
+						Vec: eqVector(len(common)), SrcPos: 1, DstPos: 1,
 					})
+				}
+				for k, l := range common {
+					if !l.Contains(p, s) {
+						continue
+					}
+					endIdx := p.Index(l.End)
+					headIdx := p.Index(l.Head)
+					if a.ReachInF[endIdx].Has(di) && a.ExposedDefs[headIdx].Has(dj) {
+						g.add(Dependence{
+							Kind: Output, Src: s, Dst: t, Var: d.Name,
+							Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: 1,
+							Carried: true, Level: k + 1,
+						})
+					}
 				}
 			}
 		}

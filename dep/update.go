@@ -122,7 +122,7 @@ func (g *Graph) Update(changes []ir.Change) bool {
 		}
 	}
 	g.sweep()
-	g.flow = nil // full dataflow is stale; Dataflow() recomputes on demand
+	g.flow = nil // stale; Dataflow() recomputes on demand
 
 	// Rebuild the dirty region: scalar dependences of the dirty names, array
 	// dependences with an edited endpoint, and control dependences onto
@@ -160,12 +160,12 @@ type updateScratch struct {
 	killed  []int32           // the dropped IDs
 	marks   []uint8           // by slot: fromMark | toMark once queued
 	sweep   []int32           // slots whose buckets hold dropped IDs
-	order   []int32           // sortPending's permutation
-	fresh   []int32           // IDs splice inserted
+	keyed   []keyed           // sortPending's order
+	fresh   []keyed           // the edges splice inserted
 	merged  []int32           // merge output buffer
 	from    [][]int32         // remap's spare bucket tables
 	to      [][]int32
-	flow    dataflow.Workspace // storage for the dirty names' analysis
+	flow    dataflow.Workspace // storage for the build's and the dirty names' analyses
 }
 
 const (
@@ -288,50 +288,64 @@ func (g *Graph) remap() {
 // edge not already in the graph gets an ID, and the new IDs merge into
 // their source buckets, then into their destination buckets.
 func (g *Graph) splice() {
-	order := g.sortPending(func(a, b *Dependence) int {
-		return cmp.Or(cmp.Compare(g.pos(a.Src), g.pos(b.Src)), g.compare(a, b))
-	})
 	fresh := g.up.fresh[:0]
-	for _, i := range order {
-		d := &g.pending[i]
-		kept := g.from[g.slot(d.Src)]
-		if _, dup := slices.BinarySearchFunc(kept, d, func(id int32, d *Dependence) int {
-			return g.compare(&g.edges[id], d)
-		}); !dup {
-			fresh = append(fresh, g.insert(*d))
+	order := g.sortPending(g.srcKey)
+	for i, k := range order {
+		d := &g.pending[k.id]
+		if i > 0 && repeats(g.pending, order[i-1], k) || g.holds(g.from[k.key>>33], k.key, d) {
+			continue
 		}
+		fresh = append(fresh, keyed{k.key, g.insert(*d)})
 	}
 	g.pending = g.pending[:0]
-	g.mergeRuns(g.from, fresh, func(d *Dependence) *ir.Stmt { return d.Src })
-	slices.SortFunc(fresh, func(x, y int32) int {
-		a, b := &g.edges[x], &g.edges[y]
-		return cmp.Or(cmp.Compare(g.pos(a.Dst), g.pos(b.Dst)), g.compare(a, b))
-	})
-	g.mergeRuns(g.to, fresh, func(d *Dependence) *ir.Stmt { return d.Dst })
+	g.mergeRuns(g.from, fresh, g.srcKey)
+	for i := range fresh {
+		fresh[i].key = g.dstKey(&g.edges[fresh[i].id])
+	}
+	sortKeyed(fresh, g.edges)
+	g.mergeRuns(g.to, fresh, g.dstKey)
 	g.up.fresh = fresh
 }
 
-// mergeRuns merges ids — grouped by the statement end picks, canonically
-// ordered within each group — into that statement's bucket.
-func (g *Graph) mergeRuns(buckets [][]int32, ids []int32, end func(*Dependence) *ir.Stmt) {
-	for lo := 0; lo < len(ids); {
-		s := end(&g.edges[ids[lo]])
+// holds reports whether the canonically ordered source bucket b already
+// holds d, whose srcKey is key.
+func (g *Graph) holds(b []int32, key uint64, d *Dependence) bool {
+	_, found := slices.BinarySearchFunc(b, d, func(id int32, d *Dependence) int {
+		e := &g.edges[id]
+		if c := cmp.Compare(g.srcKey(e), key); c != 0 {
+			return c
+		}
+		return compareRest(e, d)
+	})
+	return found
+}
+
+// mergeRuns merges the edges ks — sorted by key, which groups them by the
+// bucket in its top bits and orders each group canonically — into their
+// buckets.
+func (g *Graph) mergeRuns(buckets [][]int32, ks []keyed, key func(*Dependence) uint64) {
+	for lo := 0; lo < len(ks); {
+		slot := ks[lo].key >> 33
 		hi := lo + 1
-		for hi < len(ids) && end(&g.edges[ids[hi]]) == s {
+		for hi < len(ks) && ks[hi].key>>33 == slot {
 			hi++
 		}
-		k := g.slot(s)
-		b, out := buckets[k], g.up.merged[:0]
+		b, out := buckets[slot], g.up.merged[:0]
 		i := 0
-		for _, id := range ids[lo:hi] {
-			for i < len(b) && g.compare(&g.edges[b[i]], &g.edges[id]) < 0 {
+		for _, k := range ks[lo:hi] {
+			d := &g.edges[k.id]
+			for i < len(b) {
+				e := &g.edges[b[i]]
+				if c := cmp.Compare(key(e), k.key); c > 0 || c == 0 && compareRest(e, d) > 0 {
+					break
+				}
 				out = append(out, b[i])
 				i++
 			}
-			out = append(out, id)
+			out = append(out, k.id)
 		}
 		out = append(out, b[i:]...)
-		buckets[k] = append(b[:0], out...)
+		buckets[slot] = append(b[:0], out...)
 		g.up.merged = out
 		lo = hi
 	}

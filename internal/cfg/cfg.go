@@ -29,27 +29,40 @@ type Graph struct {
 	Prog *ir.Program
 	Succ [][]int
 	Pred [][]int
+
+	// The flat arrays the successor and predecessor lists share.
+	succBuf, predBuf []int
 }
 
 // Build constructs the CFG for p.
-func Build(p *ir.Program) *Graph { return build(p, matchBrackets(p), true) }
+func Build(p *ir.Program) *Graph { return build(p, matchBrackets(p), true, nil) }
 
 // BuildBoth returns Build(p) and the forward-only CFG of p, sharing one
 // bracket match. The forward-only graph has no loop back edges (ENDDO →
 // DO): it is acyclic, and dataflow facts computed on it describe a single
 // iteration, which the dependence analyzer uses to separate
 // loop-independent from loop-carried dependences.
-func BuildBoth(p *ir.Program) (full, fwd *Graph) {
+func BuildBoth(p *ir.Program) (full, fwd *Graph) { return BuildBothInto(p, nil, nil) }
+
+// BuildBothInto is BuildBoth rebuilding into the storage of full and fwd,
+// graphs an earlier build returned; either may be nil. The graphs' previous
+// contents are overwritten.
+func BuildBothInto(p *ir.Program, full, fwd *Graph) (*Graph, *Graph) {
 	br := matchBrackets(p)
-	return build(p, br, true), build(p, br, false)
+	return build(p, br, true, full), build(p, br, false, fwd)
 }
 
-// build constructs one CFG of p in a single pass over the statements; the
-// successor lists share one flat backing array.
-func build(p *ir.Program, br brackets, withBackEdges bool) *Graph {
+// build constructs one CFG of p in a single pass over the statements, into
+// g's storage when g is not nil; the successor lists share one flat
+// backing array.
+func build(p *ir.Program, br brackets, withBackEdges bool, g *Graph) *Graph {
 	n := p.Len()
-	g := &Graph{Prog: p, Succ: make([][]int, n)}
-	buf := make([]int, 0, 2*n) // no statement has more than two successors
+	if g == nil {
+		g = &Graph{}
+	}
+	g.Prog = p
+	g.Succ = slices.Grow(g.Succ[:0], n)[:n]
+	buf := slices.Grow(g.succBuf[:0], 2*n) // no statement has more than two successors
 	for i := 0; i < n; i++ {
 		start := len(buf)
 		add := func(to int) { buf = appendEdge(buf, start, to, n) }
@@ -90,8 +103,9 @@ func build(p *ir.Program, br brackets, withBackEdges bool) *Graph {
 	// first counts its node's in-degree (no in-degree exceeds the edge
 	// count, so the counting slices stay inside pbuf); the lists are then
 	// laid out back to back and filled in ascending source order.
-	pbuf := make([]int, len(buf))
-	g.Pred = make([][]int, n)
+	pbuf := slices.Grow(g.predBuf[:0], len(buf))[:len(buf)]
+	g.Pred = slices.Grow(g.Pred[:0], n)[:n]
+	clear(g.Pred)
 	for _, t := range buf {
 		g.Pred[t] = pbuf[:len(g.Pred[t])+1]
 	}
@@ -109,6 +123,7 @@ func build(p *ir.Program, br brackets, withBackEdges bool) *Graph {
 			g.Pred[t] = append(g.Pred[t], i)
 		}
 	}
+	g.succBuf, g.predBuf = buf, pbuf
 	return g
 }
 

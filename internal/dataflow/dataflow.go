@@ -1,9 +1,7 @@
 package dataflow
 
 import (
-	"cmp"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/cfg"
@@ -46,6 +44,13 @@ type Analysis struct {
 	defStart []int
 	useStart []int
 
+	// The scalar sites grouped by name. Names are numbered in order of
+	// first appearance; name k's scalar definitions are
+	// nameDefs[defRun[k]:defRun[k+1]] and its scalar uses
+	// nameUses[useRun[k]:useRun[k+1]], each ascending.
+	nameDefs, nameUses []int
+	defRun, useRun     []int
+
 	// ReachIn[i] = definitions reaching the entry of statement i (full CFG).
 	ReachIn []BitSet
 	// ReachInF is ReachIn on the forward-only CFG.
@@ -87,12 +92,16 @@ func Analyze(p *ir.Program) *Analysis { return new(Workspace).analyze(p, nil) }
 // analyses allocates nothing. The Analysis a call returns is valid until
 // the Workspace's next call. A Workspace is not safe for concurrent use.
 type Workspace struct {
-	a      *Analysis
-	prog   *ir.Program
-	kinds  []ir.StmtKind // the kind sequence a.Graph and a.FGraph were built for
-	words  []uint64      // every fact family's bits
-	sets   []BitSet      // every fact family's per-statement headers
-	sorted []int         // scalar definitions ordered by name
+	a     *Analysis
+	prog  *ir.Program
+	kinds []ir.StmtKind // the kind sequence a.Graph and a.FGraph were built for
+	words []uint64      // every fact family's bits
+	sets  []BitSet      // every fact family's per-statement headers
+
+	// collect's name numbering: ids maps a scalar name to its number, and
+	// defName/useName hold each site's number (-1 for an array site).
+	ids              map[string]int
+	defName, useName []int
 }
 
 // AnalyzeNames runs Analyze's analyses restricted to the definitions and
@@ -102,9 +111,11 @@ type Workspace struct {
 // slice of a full Analyze. Each fact family is one bit per restricted site
 // and statement, so the solvers' work shrinks with the name set. The
 // incremental dependence updater uses this to re-derive only the
-// dependences of names an edit touched. AnalyzeNames never computes
-// liveness; LiveOutOf on a name-filtered analysis would see only the
-// filtered names and should not be consulted.
+// dependences of names an edit touched. A nil name set keeps every name,
+// which gives a full analysis in reused storage. AnalyzeNames never
+// computes liveness, and LiveOutOf should not be consulted on its result:
+// a filtered analysis sees only the filtered names, and the next call
+// overwrites any result. Analyze gives a snapshot for liveness.
 func (w *Workspace) AnalyzeNames(p *ir.Program, names map[string]bool) *Analysis {
 	return w.analyze(p, names)
 }
@@ -115,9 +126,9 @@ func (w *Workspace) analyze(p *ir.Program, names map[string]bool) *Analysis {
 	}
 	a := w.a
 	if !w.sameShape(p) {
-		a.Graph, a.FGraph = cfg.BuildBoth(p)
+		a.Graph, a.FGraph = cfg.BuildBothInto(p, a.Graph, a.FGraph)
 	}
-	a.collect(p, names)
+	w.collect(p, names)
 	n, nd, nu := p.Len(), len(a.Defs), len(a.Uses)
 
 	// Twelve families of n sets: six over the definitions, six over the
@@ -139,7 +150,7 @@ func (w *Workspace) analyze(p *ir.Program, names map[string]bool) *Analysis {
 	}
 	dGen, dKill, dTmp := family(nd), family(nd), family(nd)
 	uGen, uKill, uTmp := family(nu), family(nu), family(nu)
-	w.genKill(a, dGen, dKill, uGen, uKill)
+	genKill(a, dGen, dKill, uGen, uKill)
 
 	// tmp is the forward solvers' OUT scratch, shared across the solves of
 	// one domain.
@@ -176,21 +187,43 @@ func (w *Workspace) sameShape(p *ir.Program) bool {
 	return same
 }
 
-func (a *Analysis) collect(p *ir.Program, names map[string]bool) {
+// collect lists the definition and use sites of the kept names in
+// statement order, then groups the scalar ones by name.
+func (w *Workspace) collect(p *ir.Program, names map[string]bool) {
+	a := w.a
 	n := p.Len()
 	a.Defs, a.Uses = a.Defs[:0], a.Uses[:0]
 	a.defStart = slices.Grow(a.defStart[:0], n+1)[:n+1]
 	a.useStart = slices.Grow(a.useStart[:0], n+1)[:n+1]
+	if w.ids == nil {
+		w.ids = make(map[string]int)
+	}
+	clear(w.ids)
+	w.defName, w.useName = w.defName[:0], w.useName[:0]
 	keep := func(name string) bool { return names == nil || names[name] }
+	// number returns the id of a scalar name, or -1 for an array.
+	number := func(name string, isArray bool) int {
+		if isArray {
+			return -1
+		}
+		k, ok := w.ids[name]
+		if !ok {
+			k = len(w.ids)
+			w.ids[name] = k
+		}
+		return k
+	}
 	for i := 0; i < n; i++ {
 		a.defStart[i], a.useStart[i] = len(a.Defs), len(a.Uses)
 		s := p.At(i)
 		if d, ok := s.Defs(); ok && keep(d.Name) {
 			a.Defs = append(a.Defs, Def{StmtIdx: i, Name: d.Name, IsArray: d.IsArray()})
+			w.defName = append(w.defName, number(d.Name, d.IsArray()))
 		}
 		addUse := func(name string, isArray bool, pos int) {
 			if keep(name) {
 				a.Uses = append(a.Uses, Use{StmtIdx: i, Name: name, IsArray: isArray, Pos: pos})
+				w.useName = append(w.useName, number(name, isArray))
 			}
 		}
 		subscripts := func(subs []ir.LinExpr) {
@@ -233,56 +266,75 @@ func (a *Analysis) collect(p *ir.Program, names map[string]bool) {
 		}
 	}
 	a.defStart[n], a.useStart[n] = len(a.Defs), len(a.Uses)
+	a.nameDefs, a.defRun = groupByName(a.nameDefs, a.defRun, w.defName, len(w.ids))
+	a.nameUses, a.useRun = groupByName(a.nameUses, a.useRun, w.useName, len(w.ids))
+}
+
+// groupByName counting-sorts the site indexes by their name numbers (sites
+// numbered -1 are left out) into sites, with run[k]:run[k+1] delimiting
+// name k's sites in ascending order. It reuses the storage of sites and run.
+func groupByName(sites, run, name []int, names int) ([]int, []int) {
+	run = slices.Grow(run[:0], names+1)[:names+1]
+	clear(run)
+	for _, k := range name {
+		if k >= 0 {
+			run[k+1]++
+		}
+	}
+	for k := 1; k <= names; k++ {
+		run[k] += run[k-1]
+	}
+	sites = slices.Grow(sites[:0], run[names])[:run[names]]
+	// Placing a site advances run[k] to the end of name k's run, so
+	// shifting run up by one afterwards restores the starts.
+	for i, k := range name {
+		if k >= 0 {
+			sites[run[k]] = i
+			run[k]++
+		}
+	}
+	copy(run[1:], run[:names])
+	run[0] = 0
+	return sites, run
+}
+
+// ScalarNames returns the number of scalar names among the analysis's
+// sites.
+func (a *Analysis) ScalarNames() int { return len(a.defRun) - 1 }
+
+// ScalarSites returns the indexes into Defs and Uses of the scalar
+// definitions and uses of name k, 0 ≤ k < ScalarNames(), each ascending.
+// Names are numbered in order of first appearance.
+func (a *Analysis) ScalarSites(k int) (defs, uses []int) {
+	return a.nameDefs[a.defRun[k]:a.defRun[k+1]], a.nameUses[a.useRun[k]:a.useRun[k+1]]
 }
 
 // genKill fills the gen and kill sets of both site families. A scalar
 // definition of x kills every other definition of x, and stops the
 // propagation of every use of x outside its own statement; array element
-// stores are may-definitions and kill nothing. The scalar definitions are
-// sorted by name first, so the work is the sum of the squared per-name
-// site counts.
-func (w *Workspace) genKill(a *Analysis, dGen, dKill, uGen, uKill []BitSet) {
-	sorted := w.sorted[:0]
+// stores are may-definitions and kill nothing. Walking the per-name site
+// runs makes the work the sum of the per-name site-count products.
+func genKill(a *Analysis, dGen, dKill, uGen, uKill []BitSet) {
 	for di, d := range a.Defs {
 		dGen[d.StmtIdx].Set(di)
-		if !d.IsArray {
-			sorted = append(sorted, di)
-		}
 	}
-	w.sorted = sorted
-	slices.SortFunc(sorted, func(x, y int) int {
-		return cmp.Or(strings.Compare(a.Defs[x].Name, a.Defs[y].Name), cmp.Compare(x, y))
-	})
-	// named returns the run of sorted holding the definitions of name.
-	named := func(name string) []int {
-		lo, _ := slices.BinarySearchFunc(sorted, name, func(di int, name string) int {
-			return strings.Compare(a.Defs[di].Name, name)
-		})
-		hi := lo
-		for hi < len(sorted) && a.Defs[sorted[hi]].Name == name {
-			hi++
-		}
-		return sorted[lo:hi]
+	for ui, u := range a.Uses {
+		uGen[u.StmtIdx].Set(ui)
 	}
-	for lo := 0; lo < len(sorted); {
-		run := named(a.Defs[sorted[lo]].Name)
-		for _, di := range run {
-			for _, dj := range run {
+	for k := range a.ScalarNames() {
+		defs, uses := a.ScalarSites(k)
+		for _, di := range defs {
+			for _, dj := range defs {
 				if dj != di {
 					dKill[a.Defs[di].StmtIdx].Set(dj)
 				}
 			}
 		}
-		lo += len(run)
-	}
-	for ui, u := range a.Uses {
-		uGen[u.StmtIdx].Set(ui)
-		if u.IsArray {
-			continue
-		}
-		for _, di := range named(u.Name) {
-			if i := a.Defs[di].StmtIdx; i != u.StmtIdx {
-				uKill[i].Set(ui)
+		for _, ui := range uses {
+			for _, di := range defs {
+				if i := a.Defs[di].StmtIdx; i != a.Uses[ui].StmtIdx {
+					uKill[i].Set(ui)
+				}
 			}
 		}
 	}
