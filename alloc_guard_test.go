@@ -16,11 +16,14 @@ import (
 )
 
 // maxHompackAllocMB bounds the bytes the interpreted CTP,CFO,DCE,FUS,PAR
-// pipeline allocates per hompack-ish program. It is about 19 MB, most of it
-// the pending edges of each pass's dep.Compute, when a full build adopts
-// its pending buffer as the edge arena, runs its analysis in the graph's
-// reusable dataflow workspace and the workspace rebuilds its CFGs in place;
-// about 34 MB, nearly all of it dependence-graph construction, when the
+// pipeline allocates per hompack-ish program. It is about 8.0 MB when the
+// edge store is a chunked arena, so each pass's dep.Compute allocates every
+// edge chunk once, and the array pair tests' grouping state is reused from
+// the graph's scratch; about 19 MB, most of it the pending edges of each
+// pass's dep.Compute grown by append, when a full build adopts its pending
+// buffer as the edge arena, runs its analysis in the graph's reusable
+// dataflow workspace and the workspace rebuilds its CFGs in place; about
+// 34 MB, nearly all of it dependence-graph construction, when the
 // precondition search binds into one reusable slot frame with compact
 // candidate tuples and each build copied its edges into an arena grown by
 // appending; about 121 MB when every candidate was a fresh binding map;
@@ -31,7 +34,7 @@ import (
 // 570 MB when the enumeration-order heuristic also materializes the edge
 // lists it only counts, liveness is computed eagerly and an edit re-runs
 // every pair test of the arrays it touches.
-const maxHompackAllocMB = 22
+const maxHompackAllocMB = 9.2
 
 // TestHompackPipelineAllocations guards that figure. Race builds are
 // excluded: the race detector's instrumentation changes allocation totals.
@@ -60,18 +63,22 @@ func TestHompackPipelineAllocations(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-	t.Logf("hompack-ish 5-pass pipeline: %.0f MB allocated", mb)
+	t.Logf("hompack-ish 5-pass pipeline: %.1f MB allocated", mb)
 	if mb > maxHompackAllocMB {
-		t.Fatalf("hompack-ish 5-pass pipeline allocated %.0f MB, limit %d MB", mb, maxHompackAllocMB)
+		t.Fatalf("hompack-ish 5-pass pipeline allocated %.1f MB, limit %.1f MB", mb, maxHompackAllocMB)
 	}
 }
 
 // maxFarmAllocMB bounds the bytes farm.Checker.CheckSeed allocates per
 // aggregation-profile program (the default order under both default
 // variants, plus the reference and variant interpretations). It is about
-// 0.87 MB when each variant carries one maintained dependence graph through
-// its passes, and about 2.95 MB when every pass computed a fresh graph.
-const maxFarmAllocMB = 1.15
+// 0.56 MB when the dependence edge store is a chunked arena and the array
+// pair tests reuse their grouping state, about 0.64 MB when edge sorts
+// compare packed position keys and a full build adopts its pending buffer
+// as the edge arena, about 0.87 MB when each variant
+// carries one maintained dependence graph through its passes, and about
+// 2.95 MB when every pass computed a fresh graph.
+const maxFarmAllocMB = 0.64
 
 // TestFarmCheckSeedAllocations guards that figure over the first 100 seeds
 // of the rand.NewSource(1) stream, the corpus the farm benchmark draws.

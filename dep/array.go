@@ -1,6 +1,10 @@
 package dep
 
-import "repro/ir"
+import (
+	"slices"
+
+	"repro/ir"
+)
 
 // access is one array reference in a statement: a read or a write.
 type access struct {
@@ -27,60 +31,92 @@ type access struct {
 // one endpoint in it (the incremental updater's edited statements); nil
 // tests every pair.
 func (g *Graph) arrayDeps(lt *loopTable, edited map[*ir.Stmt]bool) {
-	byName, names := g.collectArrayGroups(edited)
 	// Deterministic order: the dependence list's order feeds candidate
 	// enumeration and therefore the cost experiments.
-	for _, name := range names {
-		g.pairTests(byName[name], lt, edited, g.add)
+	groups := g.collectArrayGroups(edited)
+	for _, group := range groups {
+		g.pairTests(group, lt, edited, g.add)
+	}
+	for i := range groups {
+		clear(groups[i]) // drop the statements until the next build
+		groups[i] = groups[i][:0]
 	}
 }
 
+// arrayScratch is the working state of arrayDeps, kept in the graph's
+// updateScratch so its maps and slices are reused across builds and
+// updates.
+type arrayScratch struct {
+	group  map[string]int  // array name → index in groups
+	groups [][]access      // per-array accesses, arrays in first-access order
+	want   map[string]bool // the arrays an update re-tests
+	acc    []access        // one statement's accesses
+	mark   []bool          // by group index: the access is in an edited statement
+}
+
 // collectArrayGroups returns the per-array access groups the pair tests
-// run over, with a deterministic name order, and keeps the array-name
+// run over, arrays in order of first access, and keeps the array-name
 // census (g.arrays) current. A nil edited set groups every access of the
 // program. A non-nil one groups only the arrays some edited statement
 // still in the program accesses. Those statements are the only source of
-// names the census has not seen since the last full build.
-func (g *Graph) collectArrayGroups(edited map[*ir.Stmt]bool) (map[string][]access, []string) {
+// names the census has not seen since the last full build. The groups
+// are the graph's scratch, valid until the next call.
+func (g *Graph) collectArrayGroups(edited map[*ir.Stmt]bool) [][]access {
 	if g.arrays == nil {
 		g.arrays = make(map[string]bool)
 	}
+	a := &g.up.array
 	var want map[string]bool
 	if edited != nil {
-		want = make(map[string]bool)
-		var acc []access
+		if a.want == nil {
+			a.want = make(map[string]bool)
+		}
+		want = a.want
+		clear(want)
 		for s := range edited {
 			if g.Prog.Index(s) < 0 {
 				continue
 			}
-			acc = appendAccesses(acc[:0], s)
-			for _, ac := range acc {
+			a.acc = appendAccesses(a.acc[:0], s)
+			for _, ac := range a.acc {
 				want[ac.op.Name] = true
 				g.noteArray(ac.op.Name)
 			}
 		}
 		if len(want) == 0 {
-			return nil, nil
+			return nil
 		}
 	}
-	byName := make(map[string][]access)
-	var names []string
-	var acc []access
+	if a.group == nil {
+		a.group = make(map[string]int)
+	}
+	clear(a.group)
+	groups := a.groups[:0]
 	for _, s := range g.Prog.Stmts() {
-		acc = appendAccesses(acc[:0], s)
-		for _, ac := range acc {
+		a.acc = appendAccesses(a.acc[:0], s)
+		for _, ac := range a.acc {
 			name := ac.op.Name
 			if want != nil && !want[name] {
 				continue
 			}
 			g.noteArray(name)
-			if _, seen := byName[name]; !seen {
-				names = append(names, name)
+			i, seen := a.group[name]
+			if !seen {
+				i = len(groups)
+				a.group[name] = i
+				// Reslicing past len recovers the emptied group stored there.
+				if i < cap(groups) {
+					groups = groups[:i+1]
+				} else {
+					groups = append(groups, nil)
+				}
 			}
-			byName[name] = append(byName[name], ac)
+			groups[i] = append(groups[i], ac)
 		}
 	}
-	return byName, names
+	clear(a.acc[:cap(a.acc)])
+	a.groups = groups
+	return groups
 }
 
 // pairTests runs the subscript tests over every ordered pair of one
@@ -89,10 +125,11 @@ func (g *Graph) collectArrayGroups(edited map[*ir.Stmt]bool) (map[string][]acces
 func (g *Graph) pairTests(group []access, lt *loopTable, edited map[*ir.Stmt]bool, emit func(Dependence)) {
 	var mark []bool
 	if edited != nil {
-		mark = make([]bool, len(group))
+		mark = slices.Grow(g.up.array.mark[:0], len(group))[:len(group)]
 		for i, ac := range group {
 			mark[i] = edited[ac.stmt]
 		}
+		g.up.array.mark = mark
 	}
 	for i, src := range group {
 		for j, dst := range group {

@@ -59,9 +59,9 @@ func checkCanonical(t *testing.T, what string, g *Graph) {
 	for name, buckets := range map[string][][]int32{"from": g.from, "to": g.to} {
 		for k, b := range buckets {
 			for i := 1; i < len(b); i++ {
-				if refCompare(g, &g.edges[b[i-1]], &g.edges[b[i]]) >= 0 {
+				if x, y := g.edges.at(b[i-1]), g.edges.at(b[i]); refCompare(g, x, y) >= 0 {
 					t.Fatalf("%s: %s bucket %d out of canonical order at %d:\n  %v\n  %v",
-						what, name, k, i, g.edges[b[i-1]], g.edges[b[i]])
+						what, name, k, i, *x, *y)
 				}
 			}
 		}

@@ -201,16 +201,16 @@ type Graph struct {
 	// updates themselves analyze in up.flow, which they overwrite.
 	flow *dataflow.Analysis
 
-	// The edge store. edges is an arena addressed by edge ID, class holds
-	// each edge's lookup class, and free lists the IDs of dropped edges
-	// for reuse. from[k] and to[k] hold the IDs of the edges leaving and
-	// entering the statement in slot k (see slot), each in canonical
-	// order: a statement's outgoing edges are sorted by (kind, destination
-	// position, ...), so an exact (kind, src, dst) query is a binary search
-	// of one bucket. stmts[k-1] is the statement slot k held when the
+	// The edge store. edges is a chunked arena addressed by edge ID (see
+	// edgeArena), class holds each edge's lookup class, and free lists the
+	// IDs of dropped edges for reuse. from[k] and to[k] hold the IDs of the
+	// edges leaving and entering the statement in slot k (see slot), each
+	// in canonical order: a statement's outgoing edges are sorted by (kind,
+	// destination position, ...), so an exact (kind, src, dst) query is a
+	// binary search of one bucket. stmts[k-1] is the statement slot k held when the
 	// buckets were last laid out; Update carries each bucket along with
 	// its statement across inserts, deletes and moves.
-	edges []Dependence
+	edges edgeArena
 	class []edgeClass
 	free  []int32
 	from  [][]int32
@@ -234,7 +234,7 @@ type Graph struct {
 
 	// pending collects the edges a derivation emits until commit (a full
 	// build) or splice (an incremental update) lays them out.
-	pending []Dependence
+	pending edgeArena
 	// lt is the loop table of the current snapshot. Update rebuilds it
 	// only when statements were inserted, deleted or moved.
 	lt *loopTable
@@ -387,9 +387,11 @@ func Compute(p *ir.Program) *Graph {
 // statement's identity so existing bindings to it stay valid.
 func (g *Graph) recompute() {
 	p := g.Prog
-	// The old arena is dead: derive into it, and commit adopts it again.
-	clear(g.edges)
-	g.pending, g.edges = g.edges[:0], nil
+	// The old arena is dead: derive into its chunks, and commit adopts
+	// them again. The pending arena, empty between builds, takes its place
+	// until then.
+	g.edges.reset()
+	g.pending, g.edges = g.edges, g.pending
 	clear(g.scalars)
 	g.arrays = make(map[string]bool)
 	g.lt = buildLoopTable(p, g.lt)
@@ -405,7 +407,7 @@ func (g *Graph) add(d Dependence) {
 	if d.Src == nil || d.Dst == nil {
 		return
 	}
-	g.pending = append(g.pending, d)
+	g.pending.push(d)
 }
 
 // insert stores d under a fresh or recycled ID and indexes it by name when
@@ -415,10 +417,9 @@ func (g *Graph) insert(d Dependence) int32 {
 	var id int32
 	if k := len(g.free); k > 0 {
 		id, g.free = g.free[k-1], g.free[:k-1]
-		g.edges[id], g.class[id] = d, c
+		*g.edges.at(id), g.class[id] = d, c
 	} else {
-		id = int32(len(g.edges))
-		g.edges = append(g.edges, d)
+		id = g.edges.push(d)
 		g.class = append(g.class, c)
 	}
 	if c == scalarEdge {
@@ -434,8 +435,9 @@ func (g *Graph) insert(d Dependence) int32 {
 // exact duplicates dropped, fill fresh buckets in order. Derivations may
 // emit one edge several times; the comparison covers every field (Vec
 // determines Level and Carried), so duplicates sort next to each other.
-// The pending buffer becomes the edge arena: each edge keeps its pending
-// index as its ID, and a dropped duplicate's ID goes to the free list.
+// The pending arena becomes the edge arena: each edge keeps its pending
+// index as its ID, and a dropped duplicate's ID goes to the free list. The
+// emptied edge arena's chunks become the next pending arena.
 func (g *Graph) commit() {
 	g.kindsOK = [numKinds]bool{}
 	n := g.Prog.Len() + 1
@@ -443,13 +445,13 @@ func (g *Graph) commit() {
 	g.to = resetBuckets(g.to, n)
 	g.stmts = append(g.stmts[:0], g.Prog.Stmts()...)
 	order := g.sortPending(g.key)
-	g.edges, g.pending = g.pending, nil
-	g.class = slices.Grow(g.class[:0], len(g.edges))[:len(g.edges)]
+	g.edges, g.pending = g.pending, g.edges
+	g.class = slices.Grow(g.class[:0], g.edges.len())[:g.edges.len()]
 	g.free = g.free[:0]
 	var last keyed
 	for i, k := range order {
-		d := &g.edges[k.id]
-		if i > 0 && repeats(g.edges, last, k) {
+		d := g.edges.at(k.id)
+		if i > 0 && repeats(&g.edges, last, k) {
 			*d = Dependence{}
 			g.free = append(g.free, k.id)
 			continue
@@ -513,32 +515,33 @@ func (g *Graph) dstKey(d *Dependence) uint64 {
 }
 
 // sortKeyed sorts ks by key, breaking ties by the rest of the canonical
-// order on edges[id].
-func sortKeyed(ks []keyed, edges []Dependence) {
+// order on the edges the IDs index.
+func sortKeyed(ks []keyed, edges *edgeArena) {
 	slices.SortFunc(ks, func(x, y keyed) int {
 		if x.key != y.key {
 			return cmp.Compare(x.key, y.key)
 		}
-		return compareRest(&edges[x.id], &edges[y.id])
+		return compareRest(edges.at(x.id), edges.at(y.id))
 	})
 }
 
 // sortPending returns the pending edges ordered by key and then by the rest
 // of the canonical order; identical edges are adjacent.
 func (g *Graph) sortPending(key func(*Dependence) uint64) []keyed {
-	ks := slices.Grow(g.up.keyed[:0], len(g.pending))
-	for i := range g.pending {
-		ks = append(ks, keyed{key(&g.pending[i]), int32(i)})
+	n := g.pending.len()
+	ks := slices.Grow(g.up.keyed[:0], n)
+	for i := range int32(n) {
+		ks = append(ks, keyed{key(g.pending.at(i)), i})
 	}
-	sortKeyed(ks, g.pending)
+	sortKeyed(ks, &g.pending)
 	g.up.keyed = ks
 	return ks
 }
 
 // repeats reports whether b, sorted after a by sortKeyed over edges, is
 // the same edge as a.
-func repeats(edges []Dependence, a, b keyed) bool {
-	return a.key == b.key && compareRest(&edges[a.id], &edges[b.id]) == 0
+func repeats(edges *edgeArena, a, b keyed) bool {
+	return a.key == b.key && compareRest(edges.at(a.id), edges.at(b.id)) == 0
 }
 
 // compareRest is the canonical order after kind, source and destination
@@ -572,10 +575,10 @@ func compareRest(a, b *Dependence) int {
 // edges of kind.
 func (g *Graph) kindRange(b []int32, kind Kind) []int32 {
 	lo, _ := slices.BinarySearchFunc(b, kind, func(id int32, k Kind) int {
-		return cmp.Compare(g.edges[id].Kind, k)
+		return cmp.Compare(g.edges.at(id).Kind, k)
 	})
 	hi, _ := slices.BinarySearchFunc(b[lo:], kind+1, func(id int32, k Kind) int {
-		return cmp.Compare(g.edges[id].Kind, k)
+		return cmp.Compare(g.edges.at(id).Kind, k)
 	})
 	return b[lo : lo+hi]
 }
@@ -584,7 +587,7 @@ func (g *Graph) kindRange(b []int32, kind Kind) []int32 {
 // edges of kind into the statement in slot dst.
 func (g *Graph) exactRange(b []int32, kind Kind, dst int) []int32 {
 	key := func(id int32) int {
-		d := &g.edges[id]
+		d := g.edges.at(id)
 		return int(d.Kind)<<32 | g.slot(d.Dst)
 	}
 	want := int(kind)<<32 | dst
@@ -610,11 +613,11 @@ func (g *Graph) kindList(kind Kind) []int32 {
 // positions, level and vector. It is assembled from the per-statement
 // buckets on each call.
 func (g *Graph) Deps() []Dependence {
-	out := make([]Dependence, 0, len(g.edges)-len(g.free))
+	out := make([]Dependence, 0, g.edges.len()-len(g.free))
 	for k := Kind(0); k < numKinds; k++ {
 		for _, b := range g.from {
 			for _, id := range g.kindRange(b, k) {
-				out = append(out, g.edges[id])
+				out = append(out, *g.edges.at(id))
 			}
 		}
 	}
@@ -625,8 +628,8 @@ func (g *Graph) Deps() []Dependence {
 func (g *Graph) From(s *ir.Stmt) []Dependence {
 	var out []Dependence
 	for _, id := range g.from[g.slot(s)] {
-		if d := g.edges[id]; d.Src == s {
-			out = append(out, d)
+		if d := g.edges.at(id); d.Src == s {
+			out = append(out, *d)
 		}
 	}
 	return out
@@ -636,8 +639,8 @@ func (g *Graph) From(s *ir.Stmt) []Dependence {
 func (g *Graph) To(s *ir.Stmt) []Dependence {
 	var out []Dependence
 	for _, id := range g.to[g.slot(s)] {
-		if d := g.edges[id]; d.Dst == s {
-			out = append(out, d)
+		if d := g.edges.at(id); d.Dst == s {
+			out = append(out, *d)
 		}
 	}
 	return out
@@ -687,7 +690,7 @@ func (g *Graph) Query(kind Kind, src, dst *ir.Stmt, pattern Vector) []Dependence
 // neither keep d nor change the graph.
 func (g *Graph) Visit(kind Kind, src, dst *ir.Stmt, pattern Vector, fn func(d *Dependence)) {
 	for _, id := range g.candidates(kind, src, dst) {
-		d := &g.edges[id]
+		d := g.edges.at(id)
 		g.countLookup(id)
 		if g.matches(d, kind, src, dst, pattern) {
 			fn(d)
@@ -709,7 +712,7 @@ func (g *Graph) Count(kind Kind, src, dst *ir.Stmt, pattern Vector) int {
 func (g *Graph) Exists(kind Kind, src, dst *ir.Stmt, pattern Vector) bool {
 	for _, id := range g.candidates(kind, src, dst) {
 		g.countLookup(id)
-		if g.matches(&g.edges[id], kind, src, dst, pattern) {
+		if g.matches(g.edges.at(id), kind, src, dst, pattern) {
 			return true
 		}
 	}

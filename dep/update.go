@@ -67,7 +67,7 @@ func (g *Graph) Update(changes []ir.Change) bool {
 	}
 	p := g.Prog
 	u := &g.up
-	u.reset(p.Len()+1, len(g.edges))
+	u.reset(p.Len()+1, g.edges.len())
 	shifted := false
 	for _, c := range changes {
 		if structuralChange(c) {
@@ -163,6 +163,7 @@ type updateScratch struct {
 	keyed   []keyed           // sortPending's order
 	fresh   []keyed           // the edges splice inserted
 	merged  []int32           // merge output buffer
+	array   arrayScratch      // arrayDeps' access groups
 	from    [][]int32         // remap's spare bucket tables
 	to      [][]int32
 	flow    dataflow.Workspace // storage for the build's and the dirty names' analyses
@@ -201,7 +202,7 @@ func (g *Graph) kill(id int32) {
 	}
 	u.dead[id] = true
 	u.killed = append(u.killed, id)
-	d := &g.edges[id]
+	d := g.edges.at(id)
 	g.queueSweep(g.liveSlot(d.Src), fromMark)
 	g.queueSweep(g.liveSlot(d.Dst), toMark)
 	if g.class[id] == scalarEdge && !u.dirty[d.Var] {
@@ -246,7 +247,7 @@ func (g *Graph) sweep() {
 	}
 	for _, id := range u.killed {
 		u.dead[id] = false
-		g.edges[id] = Dependence{}
+		*g.edges.at(id) = Dependence{}
 	}
 	g.free = append(g.free, u.killed...)
 }
@@ -291,18 +292,18 @@ func (g *Graph) splice() {
 	fresh := g.up.fresh[:0]
 	order := g.sortPending(g.srcKey)
 	for i, k := range order {
-		d := &g.pending[k.id]
-		if i > 0 && repeats(g.pending, order[i-1], k) || g.holds(g.from[k.key>>33], k.key, d) {
+		d := g.pending.at(k.id)
+		if i > 0 && repeats(&g.pending, order[i-1], k) || g.holds(g.from[k.key>>33], k.key, d) {
 			continue
 		}
 		fresh = append(fresh, keyed{k.key, g.insert(*d)})
 	}
-	g.pending = g.pending[:0]
+	g.pending.reset()
 	g.mergeRuns(g.from, fresh, g.srcKey)
 	for i := range fresh {
-		fresh[i].key = g.dstKey(&g.edges[fresh[i].id])
+		fresh[i].key = g.dstKey(g.edges.at(fresh[i].id))
 	}
-	sortKeyed(fresh, g.edges)
+	sortKeyed(fresh, &g.edges)
 	g.mergeRuns(g.to, fresh, g.dstKey)
 	g.up.fresh = fresh
 }
@@ -311,7 +312,7 @@ func (g *Graph) splice() {
 // holds d, whose srcKey is key.
 func (g *Graph) holds(b []int32, key uint64, d *Dependence) bool {
 	_, found := slices.BinarySearchFunc(b, d, func(id int32, d *Dependence) int {
-		e := &g.edges[id]
+		e := g.edges.at(id)
 		if c := cmp.Compare(g.srcKey(e), key); c != 0 {
 			return c
 		}
@@ -333,9 +334,9 @@ func (g *Graph) mergeRuns(buckets [][]int32, ks []keyed, key func(*Dependence) u
 		b, out := buckets[slot], g.up.merged[:0]
 		i := 0
 		for _, k := range ks[lo:hi] {
-			d := &g.edges[k.id]
+			d := g.edges.at(k.id)
 			for i < len(b) {
-				e := &g.edges[b[i]]
+				e := g.edges.at(b[i])
 				if c := cmp.Compare(key(e), k.key); c > 0 || c == 0 && compareRest(e, d) > 0 {
 					break
 				}

@@ -242,25 +242,31 @@ func mutate(r *rand.Rand, p *ir.Program) {
 // identical — edges and canonical order both — to a fresh Compute.
 func TestUpdateMatchesCompute(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		p := proggen.Generate(seed, proggen.Config{})
-		log, owned := p.EnsureLog()
-		if !owned {
-			t.Fatalf("seed %d: fresh program already had a journal", seed)
-		}
-		g := Compute(p)
-		r := rand.New(rand.NewSource(seed * 7919))
-		probe := rand.New(rand.NewSource(seed))
-		for step := 0; step < 40; step++ {
-			mutate(r, p)
-			g.Update(log.Changes())
-			deleted := deletedStmts(log.Changes())
-			log.Reset()
-			checkQueryParity(t, seed, step, g, deleted, probe)
-			want := Compute(p).String()
-			if got := g.String(); got != want {
-				t.Fatalf("seed %d step %d: incremental graph diverged\nprogram:\n%s\nincremental:\n%s\nfresh:\n%s",
-					seed, step, p, got, want)
-			}
+		checkUpdateMatchesCompute(t, seed, proggen.Generate(seed, proggen.Config{}))
+	}
+}
+
+// checkUpdateMatchesCompute runs TestUpdateMatchesCompute's 40 mutation
+// steps on the fresh program p, drawing them from seed.
+func checkUpdateMatchesCompute(t *testing.T, seed int64, p *ir.Program) {
+	t.Helper()
+	log, owned := p.EnsureLog()
+	if !owned {
+		t.Fatalf("seed %d: fresh program already had a journal", seed)
+	}
+	g := Compute(p)
+	r := rand.New(rand.NewSource(seed * 7919))
+	probe := rand.New(rand.NewSource(seed))
+	for step := 0; step < 40; step++ {
+		mutate(r, p)
+		g.Update(log.Changes())
+		deleted := deletedStmts(log.Changes())
+		log.Reset()
+		checkQueryParity(t, seed, step, g, deleted, probe)
+		want := Compute(p).String()
+		if got := g.String(); got != want {
+			t.Fatalf("seed %d step %d: incremental graph diverged\nprogram:\n%s\nincremental:\n%s\nfresh:\n%s",
+				seed, step, p, got, want)
 		}
 	}
 }

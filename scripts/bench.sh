@@ -39,12 +39,14 @@ while [ $# -gt 0 ]; do
 done
 
 # run_ratio NAME WHAT BENCH BASE SIDE: gate the ns/op ratio of BENCH/SIDE
-# over BENCH/BASE, the overhead of WHAT, at 1.05. The root package's test binary is built once; after a
-# discarded warmup of both sides it runs ROUNDS rounds (COUNT, at least 6)
-# of -benchtime 50x per side, alternating which side goes first. The gate is
-# the median of the per-round ratios, so one noisy-neighbor episode moves
-# one round, not the verdict; the ratio of the two sides' best rounds (the
-# statistic the gate used to take) is printed alongside.
+# over BENCH/BASE, the overhead of WHAT, at 1.05. The root package's test
+# binary is built once; after a discarded warmup of both sides it runs
+# ROUNDS rounds (COUNT, at least 6) of about one second per side
+# (-benchtime 1s, a few hundred operations), alternating which side goes
+# first. Rounds of a fixed 50 operations (a quarter second) spread too
+# widely for a 5% gate. The gate is the median of the per-round ratios, so
+# one noisy-neighbor episode moves one round, not the verdict; the ratio of
+# the two sides' best rounds is printed alongside.
 run_ratio() {
   name=$1 what=$2 bench=$3 base=$4 side=$5
   rounds=${COUNT:-6}
@@ -59,7 +61,7 @@ run_ratio() {
   while [ "$i" -le "$rounds" ]; do
     if [ $((i % 2)) -eq 1 ]; then order="$base $side"; else order="$side $base"; fi
     for v in $order; do
-      one "$v" 50x | awk -v r="$i" -v v="$v" '/^Benchmark/ { print "round", r, v, $3 }' | tee -a "$OUT"
+      one "$v" 1s | awk -v r="$i" -v v="$v" '/^Benchmark/ { print "round", r, v, $3 }' | tee -a "$OUT"
     done
     i=$((i + 1))
   done
