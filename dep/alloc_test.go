@@ -38,3 +38,27 @@ func TestComputeAllocations(t *testing.T) {
 		t.Fatalf("hompack-ish Compute allocated %.0f KB besides its %.0f KB of edge storage, limit %d KB", fixed, edges, maxComputeFixedKB)
 	}
 }
+
+// TestWildcardCountAllocations guards that a memoized kind-only Count
+// allocates nothing, and that neither does refilling the memo after the
+// kind lists are invalidated: the memo and the lists keep their storage.
+func TestWildcardCountAllocations(t *testing.T) {
+	g := hompackGraph(t)
+	countAll := func() {
+		for kind := Flow; kind <= Control; kind++ {
+			for _, pat := range specPatterns {
+				g.Count(kind, nil, nil, pat)
+			}
+		}
+	}
+	countAll()
+	if n := testing.AllocsPerRun(20, countAll); n != 0 {
+		t.Errorf("memoized wildcard Counts allocated %.0f times per round", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		g.kindsOK = [numKinds]bool{} // as an Update leaves them
+		countAll()
+	}); n != 0 {
+		t.Errorf("refilling the count memos allocated %.0f times per round", n)
+	}
+}

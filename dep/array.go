@@ -10,6 +10,7 @@ import (
 type access struct {
 	stmt    *ir.Stmt
 	op      ir.Operand // the ArrayRef operand
+	idx     int32      // the statement's position, set by collectArrayGroups
 	isWrite bool
 	pos     int // operand position (paper numbering); 1 for writes
 }
@@ -92,9 +93,10 @@ func (g *Graph) collectArrayGroups(edited map[*ir.Stmt]bool) [][]access {
 	}
 	clear(a.group)
 	groups := a.groups[:0]
-	for _, s := range g.Prog.Stmts() {
+	for si, s := range g.Prog.Stmts() {
 		a.acc = appendAccesses(a.acc[:0], s)
 		for _, ac := range a.acc {
+			ac.idx = int32(si)
 			name := ac.op.Name
 			if want != nil && !want[name] {
 				continue
@@ -119,9 +121,14 @@ func (g *Graph) collectArrayGroups(edited map[*ir.Stmt]bool) [][]access {
 	return groups
 }
 
-// pairTests runs the subscript tests over every ordered pair of one
-// array's accesses, emitting the resulting dependences. A non-nil edited
-// set skips the pairs with neither statement in it.
+// pairTests runs the subscript tests over the ordered pairs of one array's
+// accesses that can yield a dependence, emitting the resulting edges. A
+// non-nil edited set skips the pairs with neither statement in it.
+//
+// A pair whose statements share no loop and whose source does not come
+// before its sink is skipped: with no common loop there is no carried
+// dependence, and the loop-independent one needs the source lexically
+// first, so testPair would emit nothing for it.
 func (g *Graph) pairTests(group []access, lt *loopTable, edited map[*ir.Stmt]bool, emit func(Dependence)) {
 	var mark []bool
 	if edited != nil {
@@ -131,9 +138,14 @@ func (g *Graph) pairTests(group []access, lt *loopTable, edited map[*ir.Stmt]boo
 		}
 		g.up.array.mark = mark
 	}
-	for i, src := range group {
-		for j, dst := range group {
+	for i := range group {
+		src := &group[i]
+		for j := range group {
+			dst := &group[j]
 			if mark != nil && !mark[i] && !mark[j] {
+				continue
+			}
+			if src.idx >= dst.idx && len(lt.common(int(src.idx), int(dst.idx))) == 0 {
 				continue
 			}
 			kind, ok := pairKind(src, dst)
@@ -145,7 +157,7 @@ func (g *Graph) pairTests(group []access, lt *loopTable, edited map[*ir.Stmt]boo
 	}
 }
 
-func pairKind(src, dst access) (Kind, bool) {
+func pairKind(src, dst *access) (Kind, bool) {
 	switch {
 	case src.isWrite && !dst.isWrite:
 		return Flow, true
@@ -161,7 +173,7 @@ func pairKind(src, dst access) (Kind, bool) {
 }
 
 // appendAccesses appends the array accesses of statement s to out: the
-// store first, then the reads in operand-slot order.
+// store first, then the reads in operand-slot order. It leaves idx unset.
 func appendAccesses(out []access, s *ir.Stmt) []access {
 	store := s.Kind == ir.SAssign || s.Kind == ir.SRead
 	if store && s.Dst.IsArray() {
@@ -180,9 +192,8 @@ func appendAccesses(out []access, s *ir.Stmt) []access {
 
 // testPair runs the subscript tests for one ordered access pair and emits
 // the resulting dependences.
-func (g *Graph) testPair(kind Kind, src, dst access, lt *loopTable, emit func(Dependence)) {
-	p := g.Prog
-	srcIdx, dstIdx := p.Index(src.stmt), p.Index(dst.stmt)
+func (g *Graph) testPair(kind Kind, src, dst *access, lt *loopTable, emit func(Dependence)) {
+	srcIdx, dstIdx := int(src.idx), int(dst.idx)
 	common := lt.common(srcIdx, dstIdx)
 	n := len(common)
 	// Common nests are shallow; the fixed buffers keep a pair test's

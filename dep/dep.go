@@ -227,6 +227,10 @@ type Graph struct {
 	// kind-only queries share one walk of the buckets.
 	byKind  [numKinds][]int32
 	kindsOK [numKinds]bool
+	// counts[k] memoizes the answers of kind k's wildcard Counts. It is
+	// dropped whenever kindList rebuilds byKind[k], so it never outlives
+	// an edit.
+	counts [numKinds]countMemo
 
 	// arrays names every array accessed by the program, so lookup counters
 	// can classify data edges as scalar or array. Filled by arrayDeps.
@@ -604,8 +608,49 @@ func (g *Graph) kindList(kind Kind) []int32 {
 			ids = append(ids, g.kindRange(b, kind)...)
 		}
 		g.byKind[kind], g.kindsOK[kind] = ids, true
+		g.counts[kind].reset()
 	}
 	return g.byKind[kind]
+}
+
+// countMemo holds the answered wildcard Counts of one kind: each pattern
+// with its match count, and the lookup traffic one walk of the kind list
+// records (every candidate is examined whatever the pattern, so one delta
+// serves all patterns). The patterns are stored back to back in dirs, and
+// reset keeps that storage, so once warm a lookup or an insert allocates
+// nothing.
+type countMemo struct {
+	lookups Stats
+	dirs    []DirSet
+	entries []countEntry
+}
+
+// countEntry is one memoized pattern: dirs[off:end] and its count.
+type countEntry struct {
+	off, end int32
+	n        int
+}
+
+func (m *countMemo) reset() {
+	m.dirs, m.entries = m.dirs[:0], m.entries[:0]
+}
+
+// find returns the memoized count for pattern and whether there is one.
+// Patterns compare element-wise, so nil and empty are the same pattern, as
+// Vector.Matches treats them.
+func (m *countMemo) find(pattern Vector) (int, bool) {
+	for _, e := range m.entries {
+		if slices.Equal(m.dirs[e.off:e.end], pattern) {
+			return e.n, true
+		}
+	}
+	return 0, false
+}
+
+func (m *countMemo) add(pattern Vector, n int) {
+	off := int32(len(m.dirs))
+	m.dirs = append(m.dirs, pattern...)
+	m.entries = append(m.entries, countEntry{off, int32(len(m.dirs)), n})
 }
 
 // Deps returns every edge of the graph in canonical order: by kind, then
@@ -700,10 +745,26 @@ func (g *Graph) Visit(kind Kind, src, dst *ir.Stmt, pattern Vector, fn func(d *D
 
 // Count returns len(Query(kind, src, dst, pattern)) without materializing
 // the matches; Stats moves by exactly what the Query would have added.
-// The engine's enumeration-order heuristic only needs the size.
+// The engine's enumeration-order heuristic only needs the size. A
+// kind-only count (nil src and dst) walks the kind list once per pattern
+// between edits: repeats answer from the kind's countMemo and replay the
+// lookups the walk recorded.
 func (g *Graph) Count(kind Kind, src, dst *ir.Stmt, pattern Vector) int {
-	n := 0
-	g.Visit(kind, src, dst, pattern, func(*Dependence) { n++ })
+	if src != nil || dst != nil {
+		n := 0
+		g.Visit(kind, src, dst, pattern, func(*Dependence) { n++ })
+		return n
+	}
+	g.kindList(kind) // drops a stale memo
+	m := &g.counts[kind]
+	if n, ok := m.find(pattern); ok {
+		g.stats = g.stats.Add(m.lookups)
+		return n
+	}
+	before, n := g.stats, 0
+	g.Visit(kind, nil, nil, pattern, func(*Dependence) { n++ })
+	m.lookups = g.stats.Sub(before)
+	m.add(pattern, n)
 	return n
 }
 

@@ -1,6 +1,8 @@
 package dep
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/frontend"
@@ -160,5 +162,91 @@ func TestStatsAddSub(t *testing.T) {
 	diff := sum.Sub(b)
 	if diff != a {
 		t.Errorf("Sub = %+v, want %+v", diff, a)
+	}
+}
+
+// specPatterns are the direction patterns the spec library's dependence
+// predicates query with (carried and independent predicates query nil),
+// plus an empty non-nil pattern, which shares nil's memo entry.
+var specPatterns = []Vector{nil, {}, {DirEQ}, {DirLT, DirGT}, {DirLT, DirEQ, DirGT}, {DirLT, DirGT, DirAny}}
+
+// checkWildcardCounts compares g's kind-only Counts with a fresh Compute of
+// its program and with a Visit walk, for every kind and spec pattern: the
+// first Count after an edit, its memoized repeat and the walk must give
+// the fresh graph's count, and all three must move Stats alike. The first
+// Count of each kind must find the memo empty. It returns how many counts
+// were nonzero.
+func checkWildcardCounts(t *testing.T, what string, g *Graph) (nonzero int) {
+	t.Helper()
+	fresh := Compute(g.Prog)
+	for kind := Flow; kind <= Control; kind++ {
+		for i, pat := range specPatterns {
+			want := fresh.Count(kind, nil, nil, pat)
+			var deltas [2]Stats
+			for rep := range deltas {
+				before := g.Stats()
+				if got := g.Count(kind, nil, nil, pat); got != want {
+					t.Fatalf("%s: Count(%s, %s) #%d = %d, a fresh graph counts %d", what, kind, pat, rep+1, got, want)
+				}
+				deltas[rep] = g.Stats().Sub(before)
+			}
+			if i == 0 && len(g.counts[kind].entries) != 1 {
+				t.Fatalf("%s: %s memo held %d patterns after its first Count, want 1", what, kind, len(g.counts[kind].entries))
+			}
+			before, walked := g.Stats(), 0
+			g.Visit(kind, nil, nil, pat, func(*Dependence) { walked++ })
+			walk := g.Stats().Sub(before)
+			if walked != want || deltas[0] != walk || deltas[1] != walk {
+				t.Fatalf("%s: Count(%s, %s): walk found %d of %d, Stats moved %+v and %+v, walk %+v",
+					what, kind, pat, walked, want, deltas[0], deltas[1], walk)
+			}
+			if want > 0 {
+				nonzero++
+			}
+		}
+		if n := len(g.counts[kind].entries); n != len(specPatterns)-1 {
+			t.Fatalf("%s: %s memo holds %d patterns, want %d", what, kind, n, len(specPatterns)-1)
+		}
+	}
+	return nonzero
+}
+
+// TestWildcardCountMemo: kind-only Counts answered from the memo equal a
+// fresh walk, count and Stats delta both, and the memo is dropped by
+// every incremental update and by the structural fallback, so the counts
+// track the edited graph.
+func TestWildcardCountMemo(t *testing.T) {
+	progs := []*ir.Program{hompackGraph(t).Prog}
+	for seed := int64(1); seed <= 3; seed++ {
+		progs = append(progs, proggen.Generate(seed, proggen.Config{MaxStmts: 100}))
+	}
+	for _, p := range progs {
+		log, _ := p.EnsureLog()
+		g := Compute(p)
+		nonzero := checkWildcardCounts(t, p.Name+" Compute", g)
+		r := rand.New(rand.NewSource(int64(p.Len())))
+		for step := 0; step < 10; step++ {
+			mutate(r, p)
+			g.Update(log.Changes())
+			log.Reset()
+			nonzero += checkWildcardCounts(t, fmt.Sprintf("%s update %d", p.Name, step), g)
+		}
+		// A wholesale replacement by an edited copy takes the structural
+		// fallback.
+		q := p.Clone()
+		for range 5 {
+			mutate(r, q)
+		}
+		p.CopyFrom(q)
+		rebuilds := g.Stats().StructuralRebuilds
+		g.Update(log.Changes())
+		log.Reset()
+		if g.Stats().StructuralRebuilds != rebuilds+1 {
+			t.Fatalf("%s: replacing the program did not recompute the graph", p.Name)
+		}
+		nonzero += checkWildcardCounts(t, p.Name+" recompute", g)
+		if nonzero == 0 {
+			t.Fatalf("%s: every count was 0; the comparison is degenerate", p.Name)
+		}
 	}
 }
