@@ -11,12 +11,16 @@ import (
 // maxComputeFixedKB bounds what a dep.Compute of hompack-ish allocates
 // besides its final edge storage (45 chunks, 553 KB): the dataflow
 // workspace, the buckets, the per-edge class and sort scratch, the loop
-// table and the maps. It was measured at 958 KB (1.5 MB in all) when the
-// edge store became a chunked arena and the array pair tests' grouping
-// state moved into the graph's scratch. Before, the whole build allocated
+// table and the maps. It was measured at 739 KB (1.3 MB in all) when the
+// dataflow fact families became flat word slices without per-statement
+// set headers and commit began sizing the buckets by a counting pass,
+// carving them from one flat slice per table instead of growing each by
+// append; and at 958 KB (1.5 MB in all) when the edge store became a
+// chunked arena and the array pair tests' grouping state moved into the
+// graph's scratch. Before, the whole build allocated
 // 3.3 MB: growing its pending edges by append allocated about 2.3 MB for
 // the 639 KB edge arena the build kept.
-const maxComputeFixedKB = 1100
+const maxComputeFixedKB = 850
 
 // TestComputeAllocations guards that a full build allocates about its final
 // edge storage, each chunk once, plus the fixed part. Race builds are

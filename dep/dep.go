@@ -216,6 +216,9 @@ type Graph struct {
 	from  [][]int32
 	to    [][]int32
 	stmts []*ir.Stmt
+	// fromIDs and toIDs are the flat slices commit carves the buckets
+	// from, each bucket with its exact capacity.
+	fromIDs, toIDs []int32
 
 	// scalars indexes the scalar-class edges by variable, so Update finds
 	// the edges of a dirty name without walking the graph.
@@ -445,22 +448,20 @@ func (g *Graph) insert(d Dependence) int32 {
 func (g *Graph) commit() {
 	g.kindsOK = [numKinds]bool{}
 	n := g.Prog.Len() + 1
-	g.from = resetBuckets(g.from, n)
-	g.to = resetBuckets(g.to, n)
 	g.stmts = append(g.stmts[:0], g.Prog.Stmts()...)
 	order := g.sortPending(g.key)
 	g.edges, g.pending = g.pending, g.edges
 	g.class = slices.Grow(g.class[:0], g.edges.len())[:g.edges.len()]
 	g.free = g.free[:0]
-	var last keyed
-	for i, k := range order {
+	kept := order[:0]
+	for _, k := range order {
 		d := g.edges.at(k.id)
-		if i > 0 && repeats(&g.edges, last, k) {
+		if len(kept) > 0 && repeats(&g.edges, kept[len(kept)-1], k) {
 			*d = Dependence{}
 			g.free = append(g.free, k.id)
 			continue
 		}
-		last = k
+		kept = append(kept, k)
 		c := g.classify(d)
 		g.class[k.id] = c
 		if c == scalarEdge {
@@ -469,22 +470,35 @@ func (g *Graph) commit() {
 			}
 			g.scalars[d.Var] = append(g.scalars[d.Var], k.id)
 		}
-		si, di := k.key>>31&posMask, k.key&posMask
-		g.from[si] = append(g.from[si], k.id)
-		g.to[di] = append(g.to[di], k.id)
 	}
+	g.from, g.fromIDs = g.layout(g.from, g.fromIDs, n, kept, 31)
+	g.to, g.toIDs = g.layout(g.to, g.toIDs, n, kept, 0)
 }
 
-// resetBuckets returns n empty buckets, reusing b's backing arrays.
-func resetBuckets(b [][]int32, n int) [][]int32 {
-	if cap(b) < n {
-		b = append(b[:cap(b)], make([][]int32, n-cap(b))...)
+// layout returns n buckets holding the IDs of ks in order, each edge in
+// the bucket of the slot its key holds at bit shift. A counting pass sizes
+// the buckets, which are carved from the flat slice ids with their exact
+// capacity, so an append that outgrows one bucket reallocates only that
+// bucket. The storage of b and ids is reused.
+func (g *Graph) layout(b [][]int32, ids []int32, n int, ks []keyed, shift uint) ([][]int32, []int32) {
+	count := slices.Grow(g.up.count[:0], n)[:n]
+	clear(count)
+	for _, k := range ks {
+		count[k.key>>shift&posMask]++
 	}
-	b = b[:n]
-	for i := range b {
-		b[i] = b[i][:0]
+	ids = slices.Grow(ids[:0], len(ks))[:len(ks)]
+	b = slices.Grow(b[:0], n)[:n]
+	off := 0
+	for i, c := range count {
+		b[i] = ids[off : off : off+c]
+		off += c
 	}
-	return b
+	for _, k := range ks {
+		i := k.key >> shift & posMask
+		b[i] = append(b[i], k.id)
+	}
+	g.up.count = count
+	return b, ids
 }
 
 // keyed is an edge ID (or pending index) with its sort key.

@@ -23,11 +23,11 @@ func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
 			for _, di := range defs {
 				d := a.Defs[di]
 				s := p.At(d.StmtIdx)
-				if !a.ReachIn[u.StmtIdx].Has(di) {
+				if !a.ReachIn.Has(u.StmtIdx, di) {
 					continue
 				}
 				common := lt.common(d.StmtIdx, u.StmtIdx)
-				if a.ReachInF[u.StmtIdx].Has(di) && d.StmtIdx < u.StmtIdx {
+				if a.ReachInF.Has(u.StmtIdx, di) && d.StmtIdx < u.StmtIdx {
 					g.add(Dependence{
 						Kind: Flow, Src: s, Dst: t, Var: d.Name,
 						Vec: eqVector(len(common)), SrcPos: 1, DstPos: u.Pos,
@@ -39,7 +39,7 @@ func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
 					}
 					endIdx := p.Index(l.End)
 					headIdx := p.Index(l.Head)
-					if a.ReachInF[endIdx].Has(di) && a.ExposedUses[headIdx].Has(ui) {
+					if a.ReachInF.Has(endIdx, di) && a.ExposedUses.Has(headIdx, ui) {
 						g.add(Dependence{
 							Kind: Flow, Src: s, Dst: t, Var: d.Name,
 							Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: u.Pos,
@@ -57,11 +57,11 @@ func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
 			for _, ui := range uses {
 				u := a.Uses[ui]
 				s := p.At(u.StmtIdx)
-				if !a.UseReachIn[d.StmtIdx].Has(ui) {
+				if !a.UseReachIn.Has(d.StmtIdx, ui) {
 					continue
 				}
 				common := lt.common(u.StmtIdx, d.StmtIdx)
-				if a.UseReachInF[d.StmtIdx].Has(ui) && u.StmtIdx < d.StmtIdx {
+				if a.UseReachInF.Has(d.StmtIdx, ui) && u.StmtIdx < d.StmtIdx {
 					g.add(Dependence{
 						Kind: Anti, Src: s, Dst: t, Var: d.Name,
 						Vec: eqVector(len(common)), SrcPos: u.Pos, DstPos: 1,
@@ -73,7 +73,7 @@ func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
 					}
 					endIdx := p.Index(l.End)
 					headIdx := p.Index(l.Head)
-					if a.UseReachInF[endIdx].Has(ui) && a.ExposedDefs[headIdx].Has(di) {
+					if a.UseReachInF.Has(endIdx, ui) && a.ExposedDefs.Has(headIdx, di) {
 						g.add(Dependence{
 							Kind: Anti, Src: s, Dst: t, Var: d.Name,
 							Vec: carriedVector(len(common), k), SrcPos: u.Pos, DstPos: 1,
@@ -95,11 +95,11 @@ func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
 				}
 				d := a.Defs[di]
 				s := p.At(d.StmtIdx)
-				if !a.ReachIn[e.StmtIdx].Has(di) {
+				if !a.ReachIn.Has(e.StmtIdx, di) {
 					continue
 				}
 				common := lt.common(d.StmtIdx, e.StmtIdx)
-				if a.ReachInF[e.StmtIdx].Has(di) && d.StmtIdx < e.StmtIdx {
+				if a.ReachInF.Has(e.StmtIdx, di) && d.StmtIdx < e.StmtIdx {
 					g.add(Dependence{
 						Kind: Output, Src: s, Dst: t, Var: d.Name,
 						Vec: eqVector(len(common)), SrcPos: 1, DstPos: 1,
@@ -111,7 +111,7 @@ func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
 					}
 					endIdx := p.Index(l.End)
 					headIdx := p.Index(l.Head)
-					if a.ReachInF[endIdx].Has(di) && a.ExposedDefs[headIdx].Has(dj) {
+					if a.ReachInF.Has(endIdx, di) && a.ExposedDefs.Has(headIdx, dj) {
 						g.add(Dependence{
 							Kind: Output, Src: s, Dst: t, Var: d.Name,
 							Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: 1,
@@ -150,7 +150,7 @@ func (g *Graph) scalarDepsFrom(a *dataflow.Analysis, lt *loopTable) {
 		for k, l := range common {
 			endIdx := p.Index(l.End)
 			headIdx := p.Index(l.Head)
-			if a.ReachInF[endIdx].Has(di) && a.ExposedDefs[headIdx].Has(di) {
+			if a.ReachInF.Has(endIdx, di) && a.ExposedDefs.Has(headIdx, di) {
 				g.add(Dependence{
 					Kind: Output, Src: s, Dst: s, Var: d.Name,
 					Vec: carriedVector(len(common), k), SrcPos: 1, DstPos: 1,

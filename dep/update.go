@@ -163,6 +163,7 @@ type updateScratch struct {
 	keyed   []keyed           // sortPending's order
 	fresh   []keyed           // the edges splice inserted
 	merged  []int32           // merge output buffer
+	count   []int             // commit's per-slot edge counts
 	array   arrayScratch      // arrayDeps' access groups
 	from    [][]int32         // remap's spare bucket tables
 	to      [][]int32

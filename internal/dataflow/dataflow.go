@@ -51,22 +51,25 @@ type Analysis struct {
 	nameDefs, nameUses []int
 	defRun, useRun     []int
 
-	// ReachIn[i] = definitions reaching the entry of statement i (full CFG).
-	ReachIn []BitSet
+	// ReachIn holds the definitions reaching the entry of each statement
+	// (full CFG).
+	ReachIn Facts
 	// ReachInF is ReachIn on the forward-only CFG.
-	ReachInF []BitSet
-	// UseReachIn[i] = upward-exposed uses reaching statement i: uses u with
-	// a path u → i containing no definition of u's location (full CFG);
-	// drives anti-dependence queries.
-	UseReachIn []BitSet
+	ReachInF Facts
+	// UseReachIn holds, for each statement i, the upward-exposed uses
+	// reaching i: uses u with a path u → i containing no definition of u's
+	// location (full CFG); drives anti-dependence queries.
+	UseReachIn Facts
 	// UseReachInF is UseReachIn on the forward-only CFG.
-	UseReachInF []BitSet
-	// ExposedUses[i] = uses u reachable from i on a forward-only path that
-	// contains no definition of u's location before the use.
-	ExposedUses []BitSet
-	// ExposedDefs[i] = definitions d reachable from i on a forward-only
-	// path with no other definition of d's location before d.
-	ExposedDefs []BitSet
+	UseReachInF Facts
+	// ExposedUses holds, for each statement i, the uses u reachable from i
+	// on a forward-only path that contains no definition of u's location
+	// before the use.
+	ExposedUses Facts
+	// ExposedDefs holds, for each statement i, the definitions d reachable
+	// from i on a forward-only path with no other definition of d's
+	// location before d.
+	ExposedDefs Facts
 	// UpwardExposed = uses reachable from program entry on some path (back
 	// edges included) with no definition of their location in between: the
 	// uses the implicit zero-initialization at program entry can reach.
@@ -95,8 +98,7 @@ type Workspace struct {
 	a     *Analysis
 	prog  *ir.Program
 	kinds []ir.StmtKind // the kind sequence a.Graph and a.FGraph were built for
-	words []uint64      // every fact family's bits
-	sets  []BitSet      // every fact family's per-statement headers
+	words []uint64      // every fact family's bits, the seeds and the marks
 
 	// collect's name numbering: ids maps a scalar name to its number, and
 	// defName/useName hold each site's number (-1 for an array site).
@@ -109,13 +111,14 @@ type Workspace struct {
 // within a single name (a definition of x kills only facts about x), the
 // restricted facts for those names are identical to the corresponding
 // slice of a full Analyze. Each fact family is one bit per restricted site
-// and statement, so the solvers' work shrinks with the name set. The
-// incremental dependence updater uses this to re-derive only the
-// dependences of names an edit touched. A nil name set keeps every name,
-// which gives a full analysis in reused storage. AnalyzeNames never
-// computes liveness, and LiveOutOf should not be consulted on its result:
-// a filtered analysis sees only the filtered names, and the next call
-// overwrites any result. Analyze gives a snapshot for liveness.
+// and statement, and each solve visits only the statements facts flow
+// through, so the work shrinks with the name set. The incremental
+// dependence updater uses this to re-derive only the dependences of names
+// an edit touched. A nil name set keeps every name, which gives a full
+// analysis in reused storage. AnalyzeNames never computes liveness, and
+// LiveOutOf should not be consulted on its result: a filtered analysis
+// sees only the filtered names, and the next call overwrites any result.
+// Analyze gives a snapshot for liveness.
 func (w *Workspace) AnalyzeNames(p *ir.Program, names map[string]bool) *Analysis {
 	return w.analyze(p, names)
 }
@@ -131,39 +134,41 @@ func (w *Workspace) analyze(p *ir.Program, names map[string]bool) *Analysis {
 	w.collect(p, names)
 	n, nd, nu := p.Len(), len(a.Defs), len(a.Uses)
 
-	// Twelve families of n sets: six over the definitions, six over the
-	// uses, carved from one word buffer and one header buffer.
-	wd, wu := (nd+63)/64, (nu+63)/64
-	words := slices.Grow(w.words[:0], 6*n*(wd+wu))[:6*n*(wd+wu)]
+	// Six families of n sets over the definitions and six over the uses,
+	// plus three statement sets — the statements that generate a
+	// definition, those that generate a use, and the solvers' marks — all
+	// carved from one word buffer.
+	wd, wu, wn := (nd+63)/64, (nu+63)/64, (n+63)/64
+	size := 6*n*(wd+wu) + 3*wn
+	words := slices.Grow(w.words[:0], size)[:size]
 	clear(words)
-	sets := slices.Grow(w.sets[:0], 12*n)[:12*n]
-	w.words, w.sets = words, sets
-	family := func(domain int) []BitSet {
-		fam := sets[:n:n]
-		sets = sets[n:]
+	w.words = words
+	family := func(domain int) Facts {
 		k := (domain + 63) / 64
-		for i := range fam {
-			fam[i] = BitSet{words: words[:k:k], n: domain}
-			words = words[k:]
-		}
-		return fam
+		f := Facts{words: words[: n*k : n*k], stride: k, sites: domain, stmts: n}
+		words = words[n*k:]
+		return f
 	}
-	dGen, dKill, dTmp := family(nd), family(nd), family(nd)
-	uGen, uKill, uTmp := family(nu), family(nu), family(nu)
-	genKill(a, dGen, dKill, uGen, uKill)
+	dSeeds, uSeeds, mark := words[:wn:wn], words[wn:2*wn:2*wn], words[2*wn:3*wn:3*wn]
+	words = words[3*wn:]
+	dGen, dKill, dOut := family(nd), family(nd), family(nd)
+	uGen, uKill, uOut := family(nu), family(nu), family(nu)
+	genKill(a, dGen, dKill, uGen, uKill, dSeeds, uSeeds)
 
-	// tmp is the forward solvers' OUT scratch, shared across the solves of
-	// one domain.
-	a.ReachIn = solveForward(a.Graph, dGen, dKill, family(nd), dTmp)
-	a.ReachInF = solveForward(a.FGraph, dGen, dKill, family(nd), dTmp)
-	a.UseReachIn = solveForward(a.Graph, uGen, uKill, family(nu), uTmp)
-	a.UseReachInF = solveForward(a.FGraph, uGen, uKill, family(nu), uTmp)
-	a.ExposedUses = solveBackward(a.FGraph, uGen, uKill, family(nu))
-	a.ExposedDefs = solveBackward(a.FGraph, dGen, dKill, family(nd))
+	// out is the forward solvers' OUT scratch, shared across the solves of
+	// one domain and cleared between them.
+	a.ReachIn = solveForward(a.Graph, dGen, dKill, family(nd), dOut, dSeeds, mark)
+	clear(dOut.words)
+	a.ReachInF = solveForward(a.FGraph, dGen, dKill, family(nd), dOut, dSeeds, mark)
+	a.UseReachIn = solveForward(a.Graph, uGen, uKill, family(nu), uOut, uSeeds, mark)
+	clear(uOut.words)
+	a.UseReachInF = solveForward(a.FGraph, uGen, uKill, family(nu), uOut, uSeeds, mark)
+	a.ExposedUses = solveBackward(a.FGraph, uGen, uKill, family(nu), uSeeds, mark)
+	a.ExposedDefs = solveBackward(a.FGraph, dGen, dKill, family(nd), dSeeds, mark)
+	a.UpwardExposed = BitSet{n: nu}
 	if n > 0 {
-		a.UpwardExposed = solveBackward(a.Graph, uGen, uKill, uTmp)[0]
-	} else {
-		a.UpwardExposed = NewBitSet(0)
+		clear(uOut.words)
+		a.UpwardExposed = solveBackward(a.Graph, uGen, uKill, uOut, uSeeds, mark).At(0)
 	}
 	return a
 }
@@ -309,90 +314,137 @@ func (a *Analysis) ScalarSites(k int) (defs, uses []int) {
 	return a.nameDefs[a.defRun[k]:a.defRun[k+1]], a.nameUses[a.useRun[k]:a.useRun[k+1]]
 }
 
-// genKill fills the gen and kill sets of both site families. A scalar
-// definition of x kills every other definition of x, and stops the
-// propagation of every use of x outside its own statement; array element
-// stores are may-definitions and kill nothing. Walking the per-name site
-// runs makes the work the sum of the per-name site-count products.
-func genKill(a *Analysis, dGen, dKill, uGen, uKill []BitSet) {
+// genKill fills the gen and kill sets of both site families, and marks the
+// statements that generate a definition in dSeeds and those that generate a
+// use in uSeeds. A scalar definition of x kills every other definition of
+// x, and stops the propagation of every use of x outside its own statement;
+// array element stores are may-definitions and kill nothing. Walking the
+// per-name site runs makes the work the sum of the per-name site-count
+// products.
+func genKill(a *Analysis, dGen, dKill, uGen, uKill Facts, dSeeds, uSeeds []uint64) {
 	for di, d := range a.Defs {
-		dGen[d.StmtIdx].Set(di)
+		dGen.set(d.StmtIdx, di)
+		setBit(dSeeds, d.StmtIdx)
 	}
 	for ui, u := range a.Uses {
-		uGen[u.StmtIdx].Set(ui)
+		uGen.set(u.StmtIdx, ui)
+		setBit(uSeeds, u.StmtIdx)
 	}
 	for k := range a.ScalarNames() {
 		defs, uses := a.ScalarSites(k)
 		for _, di := range defs {
 			for _, dj := range defs {
 				if dj != di {
-					dKill[a.Defs[di].StmtIdx].Set(dj)
+					dKill.set(a.Defs[di].StmtIdx, dj)
 				}
 			}
 		}
 		for _, ui := range uses {
 			for _, di := range defs {
 				if i := a.Defs[di].StmtIdx; i != a.Uses[ui].StmtIdx {
-					uKill[i].Set(ui)
+					uKill.set(i, ui)
 				}
 			}
 		}
 	}
 }
 
+// The solvers below are seeded, statement-ordered worklists. The marks
+// start at the statements whose gen set is not empty (seeds), since every
+// other statement's facts stay empty until a neighbour's grow. A round
+// visits the marked statements in statement order — reverse order for a
+// backward solve — clearing each mark; when a statement's set grows, the
+// statements its facts flow to are marked. Every CFG edge but a loop back
+// edge (ENDDO → DO head) points forward in statement order, so those marks
+// are visited later in the same round. A back edge's mark schedules one
+// more round, starting at its target. On the forward-only CFG a solve is
+// thus one ordered pass over the statements facts reach. The sets only
+// grow from empty under monotone equations, so the result is the same
+// least fixpoint a round-robin solve over every statement reaches.
+
 // solveForward computes IN[i] = ∪_{p ∈ pred(i)} OUT[p] with
-// OUT[i] = gen[i] ∪ (IN[i] − kill[i]) into the empty sets in, using out as
-// scratch, and returns in. It updates the sets word by word in place and
-// allocates nothing.
-func solveForward(g *cfg.Graph, gen, kill, in, out []BitSet) []BitSet {
-	for i := range out {
-		copy(out[i].words, gen[i].words)
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range in {
-			for _, pi := range g.Pred[i] {
-				if in[i].OrInto(out[pi]) {
-					changed = true
-				}
+// OUT[i] = gen[i] ∪ (IN[i] − kill[i]) into the empty family in, using the
+// empty family out as scratch, and returns in. seeds marks the statements
+// with a nonempty gen set; mark is empty scratch over the statements, and
+// is left empty. It works word by word in place and allocates nothing.
+func solveForward(g *cfg.Graph, gen, kill, in, out Facts, seeds, mark []uint64) Facts {
+	copy(mark, seeds)
+	n, k := in.stmts, in.stride
+	restart := n // the lowest statement a back edge marked this round
+	for i := nextMark(mark, 0); ; i = nextMark(mark, i+1) {
+		if i >= n {
+			if restart == n {
+				return in
 			}
-			iw, gw, kw, ow := in[i].words, gen[i].words, kill[i].words, out[i].words
-			for w := range ow {
-				if v := gw[w] | iw[w]&^kw[w]; v != ow[w] {
-					ow[w] = v
-					changed = true
-				}
+			i, restart = nextMark(mark, restart), n
+		}
+		mark[i/64] &^= 1 << (uint(i) % 64)
+		lo, hi := i*k, i*k+k
+		iw := in.words[lo:hi]
+		for _, p := range g.Pred[i] {
+			for w, v := range out.words[p*k : p*k+k] {
+				iw[w] |= v
+			}
+		}
+		gw, kw, ow := gen.words[lo:hi], kill.words[lo:hi], out.words[lo:hi]
+		grew := false
+		for w := range ow {
+			if v := gw[w] | iw[w]&^kw[w]; v != ow[w] {
+				ow[w] = v
+				grew = true
+			}
+		}
+		if !grew {
+			continue
+		}
+		for _, s := range g.Succ[i] {
+			setBit(mark, s)
+			if s <= i {
+				restart = min(restart, s)
 			}
 		}
 	}
-	return in
 }
 
 // solveBackward computes EXPOSED[i] = gen[i] ∪ ((∪_{s ∈ succ(i)} EXPOSED[s])
-// − kill[i]) into the empty sets exp and returns them: the facts reachable
-// from i along paths on which i's kills apply first. Like solveForward it
-// works word by word in place.
-func solveBackward(g *cfg.Graph, gen, kill, exp []BitSet) []BitSet {
-	for i := range exp {
-		copy(exp[i].words, gen[i].words)
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := len(exp) - 1; i >= 0; i-- {
-			gw, kw, ew := gen[i].words, kill[i].words, exp[i].words
-			for w := range ew {
-				var acc uint64
-				for _, si := range g.Succ[i] {
-					acc |= exp[si].words[w]
-				}
-				if v := gw[w] | acc&^kw[w]; v != ew[w] {
-					ew[w] = v
-					changed = true
-				}
+// − kill[i]) into the empty family exp and returns it: the facts reachable
+// from i along paths on which i's kills apply first. Its seeds and marks
+// are solveForward's, visited in reverse statement order.
+func solveBackward(g *cfg.Graph, gen, kill, exp Facts, seeds, mark []uint64) Facts {
+	copy(mark, seeds)
+	k := exp.stride
+	restart := -1 // the highest statement a back edge marked this round
+	for i := prevMark(mark, exp.stmts-1); ; i = prevMark(mark, i-1) {
+		if i < 0 {
+			if restart < 0 {
+				return exp
+			}
+			i, restart = prevMark(mark, restart), -1
+		}
+		mark[i/64] &^= 1 << (uint(i) % 64)
+		lo, hi := i*k, i*k+k
+		gw, kw, ew := gen.words[lo:hi], kill.words[lo:hi], exp.words[lo:hi]
+		grew := false
+		for w := range ew {
+			var acc uint64
+			for _, s := range g.Succ[i] {
+				acc |= exp.words[s*k+w]
+			}
+			if v := gw[w] | acc&^kw[w]; v != ew[w] {
+				ew[w] = v
+				grew = true
+			}
+		}
+		if !grew {
+			continue
+		}
+		for _, p := range g.Pred[i] {
+			setBit(mark, p)
+			if p >= i {
+				restart = max(restart, p)
 			}
 		}
 	}
-	return exp
 }
 
 // DefsAt returns the definitions made by statement i.

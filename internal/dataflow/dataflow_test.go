@@ -2,13 +2,17 @@ package dataflow
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cfg"
 	"repro/internal/frontend"
 	"repro/internal/proggen"
+	"repro/internal/workloads"
 	"repro/ir"
 )
 
@@ -99,7 +103,7 @@ END
 	a := Analyze(p)
 	// The def at stmt 0 is killed by stmt 1; only def 1 reaches stmt 2.
 	var reach []int
-	a.ReachIn[2].ForEach(func(di int) {
+	a.ReachIn.At(2).ForEach(func(di int) {
 		if a.Defs[di].Name == "x" {
 			reach = append(reach, a.Defs[di].StmtIdx)
 		}
@@ -127,7 +131,7 @@ END
 	// Both branch definitions reach the final statement.
 	last := p.Len() - 1
 	var reach []int
-	a.ReachIn[last].ForEach(func(di int) {
+	a.ReachIn.At(last).ForEach(func(di int) {
 		if a.Defs[di].Name == "x" {
 			reach = append(reach, a.Defs[di].StmtIdx)
 		}
@@ -153,7 +157,7 @@ END
 	// Inside the loop, both the initial def (stmt 0) and the loop def
 	// (stmt 2) reach the body statement.
 	var reach []int
-	a.ReachIn[2].ForEach(func(di int) {
+	a.ReachIn.At(2).ForEach(func(di int) {
 		if a.Defs[di].Name == "s" {
 			reach = append(reach, a.Defs[di].StmtIdx)
 		}
@@ -163,7 +167,7 @@ END
 	}
 	// At the print, the loop def and (via zero-trip) the initial def reach.
 	var atPrint []int
-	a.ReachIn[4].ForEach(func(di int) {
+	a.ReachIn.At(4).ForEach(func(di int) {
 		if a.Defs[di].Name == "s" {
 			atPrint = append(atPrint, a.Defs[di].StmtIdx)
 		}
@@ -186,7 +190,7 @@ END
 	p := frontend.MustParse(src)
 	a := Analyze(p)
 	var reach []int
-	a.ReachIn[2].ForEach(func(di int) {
+	a.ReachIn.At(2).ForEach(func(di int) {
 		if a.Defs[di].Name == "a" {
 			reach = append(reach, a.Defs[di].StmtIdx)
 		}
@@ -240,7 +244,7 @@ END
 	a := Analyze(p)
 	// The use of x at stmt 0 must reach stmt 1 (anti dependence S0 → S1).
 	found := false
-	a.UseReachIn[1].ForEach(func(ui int) {
+	a.UseReachIn.At(1).ForEach(func(ui int) {
 		u := a.Uses[ui]
 		if u.Name == "x" && u.StmtIdx == 0 {
 			found = true
@@ -265,7 +269,7 @@ END
 	a := Analyze(p)
 	// Use of x at stmt 0 must NOT reach stmt 3: the def at stmt 1 kills it.
 	leaked := false
-	a.UseReachIn[3].ForEach(func(ui int) {
+	a.UseReachIn.At(3).ForEach(func(ui int) {
 		u := a.Uses[ui]
 		if u.Name == "x" && u.StmtIdx == 0 {
 			leaked = true
@@ -335,7 +339,7 @@ func TestDoHeadDefinesLCV(t *testing.T) {
 	}
 	// i's def reaches the body use.
 	found := false
-	a.ReachIn[1].ForEach(func(di int) {
+	a.ReachIn.At(1).ForEach(func(di int) {
 		if a.Defs[di].Name == "i" {
 			found = true
 		}
@@ -534,12 +538,281 @@ func checkRestriction(t *testing.T, seed int64, p *ir.Program, full, sub *Analys
 		}
 	}
 	for i := 0; i < p.Len(); i++ {
-		same("ReachIn", sub.ReachIn[i], full.ReachIn[i], defMap)
-		same("ReachInF", sub.ReachInF[i], full.ReachInF[i], defMap)
-		same("UseReachIn", sub.UseReachIn[i], full.UseReachIn[i], useMap)
-		same("UseReachInF", sub.UseReachInF[i], full.UseReachInF[i], useMap)
-		same("ExposedUses", sub.ExposedUses[i], full.ExposedUses[i], useMap)
-		same("ExposedDefs", sub.ExposedDefs[i], full.ExposedDefs[i], defMap)
+		same("ReachIn", sub.ReachIn.At(i), full.ReachIn.At(i), defMap)
+		same("ReachInF", sub.ReachInF.At(i), full.ReachInF.At(i), defMap)
+		same("UseReachIn", sub.UseReachIn.At(i), full.UseReachIn.At(i), useMap)
+		same("UseReachInF", sub.UseReachInF.At(i), full.UseReachInF.At(i), useMap)
+		same("ExposedUses", sub.ExposedUses.At(i), full.ExposedUses.At(i), useMap)
+		same("ExposedDefs", sub.ExposedDefs.At(i), full.ExposedDefs.At(i), defMap)
 	}
 	same("UpwardExposed", sub.UpwardExposed, full.UpwardExposed, useMap)
+}
+
+// roundRobinForward is the round-robin forward solver the seeded worklist
+// replaced, kept as TestWorklistMatchesRoundRobin's reference: it sweeps
+// every statement in order until a sweep changes nothing. It computes
+// IN[i] = ∪_{p ∈ pred(i)} OUT[p] with OUT[i] = gen[i] ∪ (IN[i] − kill[i])
+// into the empty sets in, using out as scratch, and returns in.
+func roundRobinForward(g *cfg.Graph, gen, kill, in, out []BitSet) []BitSet {
+	for i := range out {
+		copy(out[i].words, gen[i].words)
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := range in {
+			for _, pi := range g.Pred[i] {
+				if in[i].OrInto(out[pi]) {
+					changed = true
+				}
+			}
+			iw, gw, kw, ow := in[i].words, gen[i].words, kill[i].words, out[i].words
+			for w := range ow {
+				if v := gw[w] | iw[w]&^kw[w]; v != ow[w] {
+					ow[w] = v
+					changed = true
+				}
+			}
+		}
+	}
+	return in
+}
+
+// roundRobinBackward is the round-robin backward solver the seeded
+// worklist replaced: EXPOSED[i] = gen[i] ∪ ((∪_{s ∈ succ(i)} EXPOSED[s]) −
+// kill[i]) into the empty sets exp, sweeping every statement in reverse
+// order until a sweep changes nothing.
+func roundRobinBackward(g *cfg.Graph, gen, kill, exp []BitSet) []BitSet {
+	for i := range exp {
+		copy(exp[i].words, gen[i].words)
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := len(exp) - 1; i >= 0; i-- {
+			gw, kw, ew := gen[i].words, kill[i].words, exp[i].words
+			for w := range ew {
+				var acc uint64
+				for _, si := range g.Succ[i] {
+					acc |= exp[si].words[w]
+				}
+				if v := gw[w] | acc&^kw[w]; v != ew[w] {
+					ew[w] = v
+					changed = true
+				}
+			}
+		}
+	}
+	return exp
+}
+
+// reference holds the gen and kill sets built pairwise from an analysis's
+// site lists — a scalar definition kills the other scalar definitions of
+// its name, and the scalar uses of its name at other statements.
+type reference struct {
+	a                        *Analysis
+	dGen, dKill, uGen, uKill []BitSet
+}
+
+func newReference(a *Analysis) *reference {
+	r := &reference{a: a}
+	r.dGen, r.dKill = r.family(len(a.Defs)), r.family(len(a.Defs))
+	r.uGen, r.uKill = r.family(len(a.Uses)), r.family(len(a.Uses))
+	for di, d := range a.Defs {
+		r.dGen[d.StmtIdx].Set(di)
+		if d.IsArray {
+			continue
+		}
+		for dj, e := range a.Defs {
+			if dj != di && !e.IsArray && e.Name == d.Name {
+				r.dKill[d.StmtIdx].Set(dj)
+			}
+		}
+		for ui, u := range a.Uses {
+			if !u.IsArray && u.Name == d.Name && u.StmtIdx != d.StmtIdx {
+				r.uKill[d.StmtIdx].Set(ui)
+			}
+		}
+	}
+	for ui, u := range a.Uses {
+		r.uGen[u.StmtIdx].Set(ui)
+	}
+	return r
+}
+
+// family returns one empty set over domain per statement.
+func (r *reference) family(domain int) []BitSet {
+	f := make([]BitSet, len(r.a.Graph.Succ))
+	for i := range f {
+		f[i] = NewBitSet(domain)
+	}
+	return f
+}
+
+// flat copies sets into a Facts over domain.
+func flat(sets []BitSet, domain int) Facts {
+	k := (domain + 63) / 64
+	f := Facts{words: make([]uint64, len(sets)*k), stride: k, sites: domain, stmts: len(sets)}
+	for i, b := range sets {
+		copy(f.words[i*k:], b.words)
+	}
+	return f
+}
+
+// seeds returns the statements whose gen set is not empty, as a word set.
+func seeds(gen []BitSet) []uint64 {
+	s := make([]uint64, (len(gen)+63)/64)
+	for i, b := range gen {
+		if b.Count() > 0 {
+			setBit(s, i)
+		}
+	}
+	return s
+}
+
+// checkAgainstRoundRobin fails unless every fact family of a equals the
+// round-robin solvers' result bit for bit.
+func checkAgainstRoundRobin(t *testing.T, what string, a *Analysis) {
+	t.Helper()
+	r := newReference(a)
+	nd, nu := len(a.Defs), len(a.Uses)
+	want := [6][]BitSet{
+		roundRobinForward(a.Graph, r.dGen, r.dKill, r.family(nd), r.family(nd)),
+		roundRobinForward(a.FGraph, r.dGen, r.dKill, r.family(nd), r.family(nd)),
+		roundRobinForward(a.Graph, r.uGen, r.uKill, r.family(nu), r.family(nu)),
+		roundRobinForward(a.FGraph, r.uGen, r.uKill, r.family(nu), r.family(nu)),
+		roundRobinBackward(a.FGraph, r.uGen, r.uKill, r.family(nu)),
+		roundRobinBackward(a.FGraph, r.dGen, r.dKill, r.family(nd)),
+	}
+	got := [6]Facts{a.ReachIn, a.ReachInF, a.UseReachIn, a.UseReachInF, a.ExposedUses, a.ExposedDefs}
+	names := [6]string{"ReachIn", "ReachInF", "UseReachIn", "UseReachInF", "ExposedUses", "ExposedDefs"}
+	for f := range got {
+		sameFacts(t, what+" "+names[f], got[f], want[f])
+	}
+	upward := NewBitSet(nu)
+	if len(a.Graph.Succ) > 0 {
+		upward = roundRobinBackward(a.Graph, r.uGen, r.uKill, r.family(nu))[0]
+	}
+	if !a.UpwardExposed.Equal(upward) {
+		t.Fatalf("%s UpwardExposed: %v, round-robin %v", what, members(a.UpwardExposed), members(upward))
+	}
+
+	// The analysis keeps only the entry's row of the full-graph backward
+	// solve, which the back edges never change: the other rows are checked
+	// here, the only place a backward solve needs back-edge rounds.
+	mark := make([]uint64, (len(a.Graph.Succ)+63)/64)
+	for _, dom := range []struct {
+		gen, kill []BitSet
+		sites     int
+	}{{r.uGen, r.uKill, nu}, {r.dGen, r.dKill, nd}} {
+		exp := solveBackward(a.Graph, flat(dom.gen, dom.sites), flat(dom.kill, dom.sites),
+			flat(r.family(dom.sites), dom.sites), seeds(dom.gen), mark)
+		sameFacts(t, what+" full-graph backward", exp, roundRobinBackward(a.Graph, dom.gen, dom.kill, r.family(dom.sites)))
+	}
+}
+
+func sameFacts(t *testing.T, what string, got Facts, want []BitSet) {
+	t.Helper()
+	if got.Len() != len(want) {
+		t.Fatalf("%s: %d statements, want %d", what, got.Len(), len(want))
+	}
+	for i, w := range want {
+		if g := got.At(i); !g.Equal(w) {
+			t.Fatalf("%s at statement %d: %v, round-robin %v", what, i, members(g), members(w))
+		}
+	}
+}
+
+func members(b BitSet) []int {
+	var out []int
+	b.ForEach(func(i int) { out = append(out, i) })
+	return out
+}
+
+// nestedBranchLoops nests an IF/ELSE in two DO loops. The definitions of x
+// and y in the branches reach statements before them only around a back
+// edge, so the worklist needs rounds beyond its first pass.
+const nestedBranchLoops = `
+PROGRAM nest
+INTEGER i, j, x, y, z
+x = 0
+y = 0
+DO i = 1, 4
+  z = x + y
+  DO j = 1, 3
+    PRINT x
+    IF (j > i) THEN
+      x = z + j
+    ELSE
+      y = x
+      z = y + 1
+    ENDIF
+  ENDDO
+  PRINT z
+ENDDO
+PRINT x, y
+END
+`
+
+// TestWorklistMatchesRoundRobin checks that the seeded worklist solvers
+// reach the round-robin solvers' fixpoint bit for bit, on full analyses
+// and on random name subsets, over the example programs, the workloads,
+// generated programs and a hand-written case that needs back-edge rounds.
+func TestWorklistMatchesRoundRobin(t *testing.T) {
+	type program struct {
+		name string
+		p    *ir.Program
+	}
+	var progs []program
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "programs", "*.mf"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs: %v", err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, program{filepath.Base(f), frontend.MustParse(string(raw))})
+	}
+	for _, w := range workloads.All {
+		progs = append(progs, program{w.Name, w.Program()})
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		progs = append(progs, program{"proggen", proggen.Generate(seed, proggen.Config{})})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		progs = append(progs, program{"proggen-100", proggen.Generate(seed, proggen.Config{MaxStmts: 100})})
+	}
+	nest := frontend.MustParse(nestedBranchLoops)
+	progs = append(progs, program{"nest", nest})
+
+	// The hand-written case must exercise back edges: x's THEN definition
+	// reaches the inner loop's PRINT x, and y's ELSE definition reaches
+	// z = x + y, each only around a loop.
+	a := Analyze(nest)
+	aroundLoop := false
+	for i := range nest.Len() {
+		a.ReachIn.At(i).ForEach(func(di int) { aroundLoop = aroundLoop || a.Defs[di].StmtIdx > i })
+	}
+	if !aroundLoop {
+		t.Fatal("nestedBranchLoops: no definition reaches an earlier statement")
+	}
+
+	var ws Workspace
+	r := rand.New(rand.NewSource(1))
+	for _, pr := range progs {
+		full := Analyze(pr.p)
+		checkAgainstRoundRobin(t, pr.name+" full", full)
+		checkAgainstRoundRobin(t, pr.name+" full (workspace)", ws.AnalyzeNames(pr.p, nil))
+		all := analysisNames(full)
+		sort.Strings(all)
+		for trial := 0; trial < 3; trial++ {
+			names := map[string]bool{}
+			for _, name := range all {
+				if r.Intn(3) == 0 {
+					names[name] = true
+				}
+			}
+			checkAgainstRoundRobin(t, pr.name+" restricted", ws.AnalyzeNames(pr.p, names))
+		}
+	}
 }

@@ -43,7 +43,7 @@ func TestAnalysesNeverPanic(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		p := Generate(seed, Config{})
 		a := dataflow.Analyze(p)
-		if len(a.ReachIn) != p.Len() {
+		if a.ReachIn.Len() != p.Len() {
 			t.Fatalf("seed %d: dataflow size mismatch", seed)
 		}
 		g := dep.Compute(p)

@@ -15,8 +15,8 @@
 #
 # Environment:
 #   BENCH    regexp of benchmarks to run  (default: DriverFixpoint|ServerOptimize|JobsThroughput|ClusterForward|FarmThroughput)
-#   COUNT    -count for statistical runs, and the rounds of the
-#            -overhead/-advisor gates (at least 6)  (default: 6)
+#   COUNT    -count for statistical runs; the -overhead/-advisor gates
+#            run twice as many rounds (at least 12)  (default: 6)
 #   OUT      output file                  (default: bench-new.txt)
 set -eu
 
@@ -41,16 +41,20 @@ done
 # run_ratio NAME WHAT BENCH BASE SIDE: gate the ns/op ratio of BENCH/SIDE
 # over BENCH/BASE, the overhead of WHAT, at 1.05. The root package's test
 # binary is built once; after a discarded warmup of both sides it runs
-# ROUNDS rounds (COUNT, at least 6) of about one second per side
-# (-benchtime 1s, a few hundred operations), alternating which side goes
-# first. Rounds of a fixed 50 operations (a quarter second) spread too
-# widely for a 5% gate. The gate is the median of the per-round ratios, so
-# one noisy-neighbor episode moves one round, not the verdict; the ratio of
-# the two sides' best rounds is printed alongside.
+# ROUNDS rounds (twice COUNT, at least 12). A round runs the two sides
+# strictly interleaved, PAIRS times each (B S B S B S, or S B S B S B in
+# every other round), each run a quarter second (-benchtime 250ms), and
+# its ratio is the mean of the SIDE runs over the mean of the BASE runs.
+# Adjacent short runs see the same host speed, so a drift over seconds
+# moves both sides of a round alike; one-second runs of each side in turn
+# let it move one side. The gate is the median of the per-round ratios, so
+# one noisy-neighbor episode moves a round or two, not the verdict; the
+# ratio of the two sides' best runs is printed alongside.
 run_ratio() {
   name=$1 what=$2 bench=$3 base=$4 side=$5
-  rounds=${COUNT:-6}
-  [ "$rounds" -ge 6 ] || rounds=6
+  rounds=$((2 * ${COUNT:-6}))
+  [ "$rounds" -ge 12 ] || rounds=12
+  pairs=3
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT
   go test -c -o "$tmp/bench.test" .
@@ -60,18 +64,22 @@ run_ratio() {
   i=1
   while [ "$i" -le "$rounds" ]; do
     if [ $((i % 2)) -eq 1 ]; then order="$base $side"; else order="$side $base"; fi
-    for v in $order; do
-      one "$v" 1s | awk -v r="$i" -v v="$v" '/^Benchmark/ { print "round", r, v, $3 }' | tee -a "$OUT"
+    j=1
+    while [ "$j" -le "$pairs" ]; do
+      for v in $order; do
+        one "$v" 250ms | awk -v r="$i" -v v="$v" '/^Benchmark/ { print "round", r, v, $3 }' | tee -a "$OUT"
+      done
+      j=$((j + 1))
     done
     i=$((i + 1))
   done
   awk -v name="$name" -v what="$what" -v base="$base" -v side="$side" '
-    $3 == base { b[$2] = $4; if (!bb || $4 < bb) bb = $4 }
-    $3 == side { s[$2] = $4; if (!sb || $4 < sb) sb = $4 }
+    $3 == base { b[$2] += $4; nb[$2]++; if (!bb || $4 < bb) bb = $4 }
+    $3 == side { s[$2] += $4; ns[$2]++; if (!sb || $4 < sb) sb = $4 }
     END {
       n = 0
-      for (r in b) if (r in s) r_[++n] = s[r] / b[r]
-      if (n < 6) { printf "%s: missing benchmark output (%d complete rounds)\n", name, n; exit 1 }
+      for (r in b) if (r in s) r_[++n] = (s[r] / ns[r]) / (b[r] / nb[r])
+      if (n < 12) { printf "%s: missing benchmark output (%d complete rounds)\n", name, n; exit 1 }
       for (i = 2; i <= n; i++) for (j = i; j > 1 && r_[j-1] > r_[j]; j--) { t = r_[j]; r_[j] = r_[j-1]; r_[j-1] = t }
       med = (n % 2) ? r_[(n+1)/2] : (r_[n/2] + r_[n/2+1]) / 2
       printf "%s: %s/%s median of %d per-round ratios=%.3f (range %.3f-%.3f); best-of ratio=%.3f (%s=%.0f %s=%.0f ns/op)\n",
