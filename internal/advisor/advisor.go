@@ -29,8 +29,6 @@ type Config struct {
 	// MaxRecords bounds the store window; older records compact away
 	// (default 4096).
 	MaxRecords int
-	// NoSync skips per-append fsync on the outcome log (benchmarks only).
-	NoSync bool
 	// FeatureCacheEntries bounds the per-source feature vector cache
 	// (default 256).
 	FeatureCacheEntries int
@@ -101,7 +99,7 @@ func Open(cfg Config) (*Advisor, error) {
 	if cfg.Dir != "" {
 		path = cfg.Dir + "/outcomes.log"
 	}
-	store, err := OpenStore(path, cfg.MaxRecords, cfg.NoSync)
+	store, err := OpenStore(path, cfg.MaxRecords)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,10 @@
 package advisor
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 
-	"repro/internal/jobs"
+	"repro/internal/wal"
 )
 
 // Record is one harvested optimization outcome: what the program looked
@@ -46,81 +42,56 @@ func (r *Record) valid() bool {
 		r.Applied >= 0 && r.WallUS >= 0
 }
 
-// Store is the outcome log: an in-memory slice of records mirrored to an
-// append-only file using the jobs WAL frame format (length + CRC32 +
-// JSON payload), with the same torn-tail truncation on open and the same
-// tmp+rename+dir-sync compaction discipline. A store opened with path ""
-// is memory-only (tests, and servers run without -advisor-dir persistence).
-// Methods are not safe for concurrent use; the Advisor serializes access.
+// Store is the outcome log: an in-memory window of records mirrored to a
+// wal.Log, fsynced per append. A store opened with path "" is memory-only
+// (tests, and servers run without -advisor-dir persistence). Methods are
+// not safe for concurrent use; the Advisor serializes access.
 type Store struct {
-	path    string
-	f       *os.File
-	size    int64
-	appends int
-	nosync  bool
-
+	log     *wal.Log[Record] // nil when memory-only
 	recs    []*Record
 	nextSeq int64
 	max     int
 }
 
 // OpenStore opens (creating if absent) the outcome log at path, replays
-// whole records, truncates any torn tail, and compacts immediately if the
-// replayed history exceeds max records (keeping the newest). max < 1
+// whole valid records, truncates any torn tail, and compacts immediately if
+// the replayed history exceeds max records (keeping the newest). max < 1
 // selects 4096. path "" yields a memory-only store.
-func OpenStore(path string, max int, nosync bool) (*Store, error) {
+func OpenStore(path string, max int) (*Store, error) {
 	if max < 1 {
 		max = 4096
 	}
-	s := &Store{path: path, nosync: nosync, max: max}
+	s := &Store{max: max}
 	if path == "" {
 		return s, nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("advisor: store dir: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("advisor: store open: %w", err)
-	}
-	good, err := jobs.ReplayFrames(f, func(payload []byte) bool {
-		var r Record
-		if json.Unmarshal(payload, &r) != nil || !r.valid() {
-			return false // undecodable payload: treat as torn tail
+	log, err := wal.Open(path, false, func(r *Record) bool {
+		if !r.valid() {
+			return false // poisonous record: treat as torn tail
 		}
 		r.Seq = s.nextSeq
 		s.nextSeq++
 		sort.Strings(r.Opts)
-		s.recs = append(s.recs, &r)
+		s.recs = append(s.recs, r)
 		return true
 	})
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("advisor: store replay: %w", err)
+		return nil, fmt.Errorf("advisor: store: %w", err)
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("advisor: store truncate: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("advisor: store seek: %w", err)
-	}
-	s.f = f
-	s.size = good
+	s.log = log
 	if len(s.recs) > s.max {
 		s.recs = s.recs[len(s.recs)-s.max:]
-		if err := s.compact(); err != nil {
-			f.Close()
-			return nil, err
+		if err := log.Compact(s.recs); err != nil {
+			log.Close()
+			return nil, fmt.Errorf("advisor: store: %w", err)
 		}
 	}
 	return s, nil
 }
 
 // Add appends one outcome record, assigning its Seq, persisting it (when
-// the store is file-backed), and compacting when the in-memory window
-// overflows max.
+// the store is file-backed), and compacting the log down to the in-memory
+// window when that overflows max.
 func (s *Store) Add(r *Record) error {
 	if !r.valid() {
 		return fmt.Errorf("advisor: invalid record")
@@ -133,74 +104,15 @@ func (s *Store) Add(r *Record) error {
 	cp.Seq = s.nextSeq
 	s.nextSeq++
 	s.recs = append(s.recs, &cp)
-	if s.f != nil {
-		payload, err := json.Marshal(&cp)
-		if err != nil {
-			return fmt.Errorf("advisor: store marshal: %w", err)
-		}
-		frame := jobs.EncodeFrame(payload)
-		if _, err := s.f.Write(frame); err != nil {
-			return fmt.Errorf("advisor: store append: %w", err)
-		}
-		if !s.nosync {
-			if err := s.f.Sync(); err != nil {
-				return fmt.Errorf("advisor: store sync: %w", err)
-			}
-		}
-		s.size += int64(len(frame))
-		s.appends++
+	if err := s.log.Append(&cp); err != nil {
+		return fmt.Errorf("advisor: store: %w", err)
 	}
 	if len(s.recs) > s.max {
 		s.recs = s.recs[len(s.recs)-s.max:]
-		if s.f != nil {
-			return s.compact()
+		if err := s.log.Compact(s.recs); err != nil {
+			return fmt.Errorf("advisor: store: %w", err)
 		}
 	}
-	return nil
-}
-
-// compact atomically rewrites the log to exactly the in-memory window.
-func (s *Store) compact() error {
-	tmp := s.path + ".compact"
-	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("advisor: store compact: %w", err)
-	}
-	var size int64
-	for _, r := range s.recs {
-		payload, merr := json.Marshal(r)
-		if merr != nil {
-			nf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("advisor: store compact marshal: %w", merr)
-		}
-		frame := jobs.EncodeFrame(payload)
-		if _, werr := nf.Write(frame); werr != nil {
-			nf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("advisor: store compact write: %w", werr)
-		}
-		size += int64(len(frame))
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("advisor: store compact sync: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("advisor: store compact rename: %w", err)
-	}
-	if dir, derr := os.Open(filepath.Dir(s.path)); derr == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	old := s.f
-	s.f = nf
-	s.size = size
-	s.appends = 0
-	old.Close()
 	return nil
 }
 
@@ -212,14 +124,7 @@ func (s *Store) Records() []*Record { return s.recs }
 func (s *Store) Len() int { return len(s.recs) }
 
 // Size reports the log size in bytes (0 for memory-only stores).
-func (s *Store) Size() int64 { return s.size }
+func (s *Store) Size() int64 { return s.log.Size() }
 
 // Close releases the log file. Memory-only stores are a no-op.
-func (s *Store) Close() error {
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
-}
+func (s *Store) Close() error { return s.log.Close() }

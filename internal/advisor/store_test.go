@@ -22,7 +22,7 @@ func testRecord(seq int, order []string, applied int) *Record {
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "outcomes.log")
-	s, err := OpenStore(path, 0, false)
+	s, err := OpenStore(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStore(path, 0, false)
+	s2, err := OpenStore(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreTortureTruncation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "outcomes.log")
-	s, err := OpenStore(path, 0, false)
+	s, err := OpenStore(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestStoreTortureTruncation(t *testing.T) {
 
 	// Find the byte offset where the last record begins by replaying the
 	// first two records' worth of a fresh store.
-	probe, err := OpenStore(path, 0, false)
+	probe, err := OpenStore(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestStoreTortureTruncation(t *testing.T) {
 		if err := os.WriteFile(p, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ts, err := OpenStore(p, 0, false)
+		ts, err := OpenStore(p, 0)
 		if err != nil {
 			t.Fatalf("cut %d: reopen failed: %v", cut, err)
 		}
@@ -115,7 +115,7 @@ func TestStoreTortureTruncation(t *testing.T) {
 			t.Fatalf("cut %d: append after truncation: %v", cut, err)
 		}
 		ts.Close()
-		rs, err := OpenStore(p, 0, false)
+		rs, err := OpenStore(p, 0)
 		if err != nil {
 			t.Fatalf("cut %d: reopen after append: %v", cut, err)
 		}
@@ -135,7 +135,7 @@ func TestStoreTortureTruncation(t *testing.T) {
 func TestStoreCorruptTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "outcomes.log")
-	s, err := OpenStore(path, 0, false)
+	s, err := OpenStore(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestStoreCorruptTail(t *testing.T) {
 	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStore(path, 0, false)
+	s2, err := OpenStore(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestStoreCorruptTail(t *testing.T) {
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "outcomes.log")
-	s, err := OpenStore(path, 4, false)
+	s, err := OpenStore(path, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestStoreCompaction(t *testing.T) {
 	s.Close()
 
 	// Reopen with a smaller window: replay must keep only the newest.
-	s2, err := OpenStore(path, 2, false)
+	s2, err := OpenStore(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestStoreCompaction(t *testing.T) {
 }
 
 func TestStoreMemoryOnly(t *testing.T) {
-	s, err := OpenStore("", 0, false)
+	s, err := OpenStore("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

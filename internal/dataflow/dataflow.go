@@ -165,10 +165,12 @@ func (w *Workspace) analyze(p *ir.Program, names map[string]bool) *Analysis {
 	a.UseReachInF = solveForward(a.FGraph, uGen, uKill, family(nu), uOut, uSeeds, mark)
 	a.ExposedUses = solveBackward(a.FGraph, uGen, uKill, family(nu), uSeeds, mark)
 	a.ExposedDefs = solveBackward(a.FGraph, dGen, dKill, family(nd), dSeeds, mark)
+	// A simple path from entry never takes a back edge (a DO head dominates
+	// its ENDDO), and the forward graph's ENDDO→exit shortcut skips only what
+	// the head's zero-trip edge also skips, so entry's row needs no own solve.
 	a.UpwardExposed = BitSet{n: nu}
 	if n > 0 {
-		clear(uOut.words)
-		a.UpwardExposed = solveBackward(a.Graph, uGen, uKill, uOut, uSeeds, mark).At(0)
+		a.UpwardExposed = a.ExposedUses.At(0)
 	}
 	return a
 }

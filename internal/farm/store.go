@@ -1,15 +1,12 @@
 package farm
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"repro/internal/jobs"
+	"repro/internal/wal"
 )
 
 // Finding is one persisted oracle failure: everything needed to reproduce
@@ -38,14 +35,15 @@ func (f Finding) key() string {
 	return fmt.Sprintf("%s|%d|%s|%s|%s", f.Campaign, f.Seed, f.Kind, f.Variant, f.Baseline)
 }
 
-// Store persists findings in an append-only log of CRC-framed JSON
-// records — the jobs WAL's frame format, so it inherits the same
-// torn-tail semantics: on open the log is replayed up to the first bad
-// frame and truncated there, and every append is fsynced. An empty dir
-// selects a memory-only store (lost on restart). Safe for concurrent use.
+// Store persists findings in a wal.Log, fsynced per append: on open the
+// log is replayed up to the first bad frame and truncated there. It needs
+// no compaction — Append deduplicates before writing and findings are
+// never deleted, so the log already holds exactly the live set. An empty
+// dir selects a memory-only store (lost on restart). Safe for concurrent
+// use.
 type Store struct {
 	mu       sync.Mutex
-	f        *os.File // nil when memory-only
+	log      *wal.Log[Finding] // nil when memory-only
 	findings []Finding
 	seen     map[string]bool
 }
@@ -57,36 +55,15 @@ func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return st, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("farm: store dir: %w", err)
-	}
-	path := filepath.Join(dir, "findings.log")
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("farm: store open: %w", err)
-	}
-	good, err := jobs.ReplayFrames(f, func(payload []byte) bool {
-		var fd Finding
-		if json.Unmarshal(payload, &fd) != nil {
-			return false
-		}
-		st.findings = append(st.findings, fd)
+	log, err := wal.Open(filepath.Join(dir, "findings.log"), false, func(fd *Finding) bool {
+		st.findings = append(st.findings, *fd)
 		st.seen[fd.key()] = true
 		return true
 	})
 	if err != nil {
-		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("farm: store: %w", err)
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("farm: store truncate: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("farm: store seek: %w", err)
-	}
-	st.f = f
+	st.log = log
 	return st, nil
 }
 
@@ -100,17 +77,8 @@ func (st *Store) Append(f Finding) error {
 	if st.seen[f.key()] {
 		return nil
 	}
-	if st.f != nil {
-		payload, err := json.Marshal(f)
-		if err != nil {
-			return fmt.Errorf("farm: store marshal: %w", err)
-		}
-		if _, err := st.f.Write(jobs.EncodeFrame(payload)); err != nil {
-			return fmt.Errorf("farm: store append: %w", err)
-		}
-		if err := st.f.Sync(); err != nil {
-			return fmt.Errorf("farm: store sync: %w", err)
-		}
+	if err := st.log.Append(&f); err != nil {
+		return fmt.Errorf("farm: store: %w", err)
 	}
 	st.findings = append(st.findings, f)
 	st.seen[f.key()] = true
@@ -141,10 +109,7 @@ func (st *Store) Len() int {
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.f == nil {
-		return nil
-	}
-	err := st.f.Close()
-	st.f = nil
+	err := st.log.Close()
+	st.log = nil
 	return err
 }

@@ -4,10 +4,10 @@
 // holding a connection per program (Section 4 batches ten optimizers over
 // ten HOMPACK routines).
 //
-// Durability comes from a write-ahead log (wal.go): every job state
-// transition appends one CRC-framed record carrying the job's full state,
-// and startup replays the log so submitted-but-unfinished jobs survive a
-// crash. Replay tolerates a truncated tail record (the frame a kill -9 cut
+// Durability comes from a write-ahead log (a wal.Log, opened in wal.go):
+// every job state transition appends one CRC-framed record carrying the
+// job's full state, and startup replays the log so submitted-but-unfinished
+// jobs survive a crash. Replay tolerates a truncated tail record (the frame a kill -9 cut
 // short) by stopping at the first bad frame and truncating the file there.
 //
 // Scheduling (manager.go) offers priority classes, per-job deadlines,

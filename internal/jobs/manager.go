@@ -177,16 +177,15 @@ func (m *Manager) compactLocked() error {
 // appendLocked journals j's current state (mu held). Append failures are
 // surfaced to submitters but tolerated on internal transitions: the
 // in-memory state machine keeps going and the next successful append or
-// compaction re-establishes durability.
+// compaction re-establishes durability. A failed compaction is not the
+// record's failure — j is already durable — and leaves the append count
+// above the threshold, so the next append retries it.
 func (m *Manager) appendLocked(j *Job) error {
-	if m.wal == nil {
-		return nil
-	}
 	if err := m.wal.Append(j); err != nil {
 		return err
 	}
 	if m.wal.Appends() > 64+4*len(m.jobs) {
-		return m.compactLocked()
+		_ = m.compactLocked()
 	}
 	return nil
 }
@@ -652,10 +651,8 @@ func (m *Manager) Close(ctx context.Context) error {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.wal != nil {
-		_ = m.compactLocked()
-		_ = m.wal.Close()
-		m.wal = nil
-	}
+	_ = m.compactLocked()
+	_ = m.wal.Close()
+	m.wal = nil
 	return err
 }

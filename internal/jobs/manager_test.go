@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -649,5 +651,85 @@ func TestExplicitIDSubmission(t *testing.T) {
 	got, ok := m2.Get(j.ID)
 	if !ok || got.State != StateDone || got.Seq != j3.Seq {
 		t.Fatalf("after replay: job %s = %+v, want done at seq %d", j.ID, got, j3.Seq)
+	}
+}
+
+// TestCompactionFailureKeepsAcceptedJobs: a compaction that fails after a
+// submission's record is already in the log must not refuse the job — the
+// record would bring it back after a restart. With KeepTerminal 1 the
+// append count outgrows 64+4*len(jobs), so compactions keep firing; a
+// directory squatting on the temp path makes every one of them fail.
+func TestCompactionFailureKeepsAcceptedJobs(t *testing.T) {
+	dir := t.TempDir()
+	r := newTestRunner()
+	cfg := fastCfg(dir)
+	cfg.KeepTerminal = 1
+	cfg.NoSync = true
+	m, err := New(r.run, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	appends := func() int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.wal.Appends()
+	}
+	submit := func(i int) string {
+		t.Helper()
+		j, _, err := m.Submit(SubmitRequest{Key: fmt.Sprint("k", i), Payload: []byte(`{}`), MaxRetries: -1})
+		if err != nil {
+			t.Fatalf("submit %d refused: %v", i, err)
+		}
+		if _, err := m.Wait(ctx, j.ID); err != nil {
+			t.Fatal(err)
+		}
+		return j.ID
+	}
+	// Run jobs until a compaction resets the append count.
+	i := 0
+	for prev := appends(); ; i++ {
+		if i > 1000 {
+			t.Fatal("no compaction after 1000 jobs")
+		}
+		submit(i)
+		n := appends()
+		if n < prev {
+			break
+		}
+		prev = n
+	}
+	blocker := filepath.Join(dir, "jobs.wal.compact")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var accepted []string
+	for end := i + 100; i < end; i++ {
+		accepted = append(accepted, submit(i))
+	}
+	if n := appends(); n < 2*100 {
+		t.Fatalf("append count %d: a compaction succeeded past the blocker", n)
+	}
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	w, records, err := OpenWAL(filepath.Join(dir, "jobs.wal"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	logged := map[string]bool{}
+	for _, j := range records {
+		logged[j.ID] = true
+	}
+	for _, id := range accepted {
+		if !logged[id] {
+			t.Fatalf("accepted job %s missing from the log", id)
+		}
 	}
 }

@@ -1,218 +1,32 @@
 package jobs
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
+
+	"repro/internal/wal"
 )
 
-// The write-ahead log is a flat file of self-delimiting frames:
-//
-//	| length uint32 LE | crc32(payload) uint32 LE | payload (JSON Job) |
-//
-// Every record is a full upsert of one job's state, so replay is
-// latest-record-wins per job ID and needs no cross-record reasoning. A
-// record is durable once Append returns (the file is fsynced unless the
-// WAL was opened with nosync). Replay stops at the first frame that does
-// not check out — short header, short payload, CRC mismatch, absurd
-// length — which is exactly the shape a kill -9 mid-write leaves behind;
-// OpenWAL then truncates the file to the last good frame so subsequent
-// appends extend a clean log.
-//
-// Compaction rewrites the log as one record per live job into a temp file
-// and atomically renames it over the log, bounding file growth to
-// O(live jobs) instead of O(total transitions).
+// The job log is a wal.Log of Job records. Every record is a full upsert
+// of one job's state, so replay is latest-record-wins per job ID and needs
+// no cross-record reasoning; compaction rewrites it as one record per live
+// job, bounding file growth to O(live jobs) instead of O(transitions).
 
-const (
-	// FrameHeader is the size of the length+CRC preamble of every frame.
-	FrameHeader = 8
-	// MaxFrame rejects absurd lengths during replay so a corrupt
-	// header cannot trigger a giant allocation.
-	MaxFrame = 64 << 20
-)
-
-// EncodeFrame wraps payload in the WAL's self-delimiting frame:
-// length-prefixed, CRC-checked, ready to append to a record log. The
-// framing is payload-agnostic so other append-only stores (the advisor's
-// outcome log) share the exact torn-tail semantics the jobs WAL is
-// torture-tested for.
-func EncodeFrame(payload []byte) []byte {
-	frame := make([]byte, FrameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[FrameHeader:], payload)
-	return frame
-}
-
-// ReplayFrames decodes frames from r until EOF or the first bad frame,
-// calling fn with each whole payload. It returns the byte offset of the end
-// of the last good frame — the truncation point that leaves only whole
-// records. A torn or corrupt tail is not an error (it is the expected
-// residue of a crash); err is non-nil only for real I/O failures. fn may
-// return false to treat the record as corrupt and stop (an undecodable
-// payload is equivalent to a torn one).
-func ReplayFrames(r io.Reader, fn func(payload []byte) bool) (good int64, err error) {
-	var hdr [FrameHeader]byte
-	for {
-		if _, rerr := io.ReadFull(r, hdr[:]); rerr != nil {
-			if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
-				return good, nil // clean end or torn header
-			}
-			return good, fmt.Errorf("jobs: wal read: %w", rerr)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > MaxFrame {
-			return good, nil // corrupt length: treat as tail
-		}
-		payload := make([]byte, length)
-		if _, rerr := io.ReadFull(r, payload); rerr != nil {
-			if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
-				return good, nil // torn payload
-			}
-			return good, fmt.Errorf("jobs: wal read: %w", rerr)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return good, nil // bit rot or torn write: stop here
-		}
-		if !fn(payload) {
-			return good, nil // CRC passed but shape didn't: stop
-		}
-		good += int64(FrameHeader) + int64(length)
-	}
-}
-
-// WAL is the append-only job log. Methods are not safe for concurrent use;
-// the Manager serializes access under its own lock.
-type WAL struct {
-	f       *os.File
-	path    string
-	size    int64
-	appends int // records appended since open/compact
-	nosync  bool
-}
+// WAL is the append-only job log.
+type WAL = wal.Log[Job]
 
 // OpenWAL opens (creating if absent) the log at path, replays it, and
 // truncates any bad tail. It returns the replayed records in append order
 // (latest record per job last). nosync skips the per-append fsync —
 // benchmarks only; durability requires the default.
-func OpenWAL(path string, nosync bool) (*WAL, []*Job, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("jobs: wal dir: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("jobs: wal open: %w", err)
-	}
-	records, good, err := Replay(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	// Drop the torn tail (if any) so appends extend a clean log.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("jobs: wal truncate: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("jobs: wal seek: %w", err)
-	}
-	return &WAL{f: f, path: path, size: good, nosync: nosync}, records, nil
+func OpenWAL(path string, nosync bool) (w *WAL, records []*Job, err error) {
+	w, err = wal.Open(path, nosync, func(j *Job) bool { records = append(records, j); return true })
+	return w, records, err
 }
 
-// Replay decodes frames from r until EOF or the first bad frame, returning
-// the decoded jobs in order and the byte offset of the end of the last
-// good frame. A bad tail is not an error — it is the expected residue of a
-// crash — so err is non-nil only for real I/O failures.
+// Replay decodes job records from r until EOF or the first bad frame,
+// returning them in order and the byte offset of the end of the last good
+// frame. A bad tail is not an error, so err is non-nil only for I/O faults.
 func Replay(r io.Reader) (records []*Job, good int64, err error) {
-	good, err = ReplayFrames(r, func(payload []byte) bool {
-		var j Job
-		if jerr := json.Unmarshal(payload, &j); jerr != nil {
-			return false
-		}
-		records = append(records, &j)
-		return true
-	})
+	good, err = wal.Replay(r, func(j *Job) bool { records = append(records, j); return true })
 	return records, good, err
-}
-
-// Append writes one job-state record and (by default) fsyncs.
-func (w *WAL) Append(j *Job) error {
-	payload, err := json.Marshal(j)
-	if err != nil {
-		return fmt.Errorf("jobs: wal marshal: %w", err)
-	}
-	frame := EncodeFrame(payload)
-	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("jobs: wal append: %w", err)
-	}
-	if !w.nosync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("jobs: wal sync: %w", err)
-		}
-	}
-	w.size += int64(len(frame))
-	w.appends++
-	return nil
-}
-
-// Appends reports records appended since open or the last compaction.
-func (w *WAL) Appends() int { return w.appends }
-
-// Size reports the current log size in bytes.
-func (w *WAL) Size() int64 { return w.size }
-
-// Compact atomically replaces the log with one record per job in live
-// (callers pass jobs in Seq order so replay reproduces submission order).
-func (w *WAL) Compact(live []*Job) error {
-	tmp := w.path + ".compact"
-	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: wal compact: %w", err)
-	}
-	nw := &WAL{f: nf, path: tmp, nosync: true}
-	for _, j := range live {
-		if err := nw.Append(j); err != nil {
-			nf.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: wal compact sync: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: wal compact rename: %w", err)
-	}
-	// Make the rename durable before abandoning the old inode.
-	if dir, derr := os.Open(filepath.Dir(w.path)); derr == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	old := w.f
-	w.f = nf
-	w.size = nw.size
-	w.appends = 0
-	old.Close()
-	return nil
-}
-
-// Close releases the log file.
-func (w *WAL) Close() error {
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
-	return err
 }

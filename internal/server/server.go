@@ -104,9 +104,6 @@ type Config struct {
 	// AdvisorMaxRecords bounds the outcome-store window; values < 1 select
 	// 4096.
 	AdvisorMaxRecords int
-	// AdvisorNoSync skips the outcome store's per-append fsync (benchmarks
-	// only).
-	AdvisorNoSync bool
 
 	// TraceStore bounds the distributed-trace store's retained fragments on
 	// this node; 0 selects 1024, negative disables distributed tracing
@@ -224,7 +221,6 @@ func New(cfg Config) (*Server, error) {
 		K:            cfg.AdvisorK,
 		MinNeighbors: cfg.AdvisorMinNeighbors,
 		MaxRecords:   cfg.AdvisorMaxRecords,
-		NoSync:       cfg.AdvisorNoSync,
 		Obs:          s.metrics.advisorObs(),
 	})
 	if err != nil {

@@ -1,17 +1,15 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // Tail-based sampling. Head sampling (decide at ingress) throws away
@@ -32,9 +30,9 @@ import (
 //     fragments.
 //
 // Memory is bounded by Capacity fragments (ring eviction, oldest first).
-// With Dir set, kept fragments are also appended to a CRC-framed spill log
-// reusing the jobs WAL framing — same torn-tail truncation semantics — and
-// replayed on open, so a restart keeps the recent trace window.
+// With Dir set, kept fragments are also appended to a spill log (a
+// wal.Log, without per-append fsync: traces are diagnostics) and replayed
+// on open, so a restart keeps the recent trace window.
 
 // Decision values returned by Record.
 const (
@@ -151,9 +149,7 @@ type Store struct {
 	dropped     int64
 	evicted     int64
 
-	spill      *os.File
-	spillPath  string
-	spillBytes int64
+	spill *wal.Log[fragRec] // nil with no spill, or once it failed
 }
 
 // Open builds a store, replaying the spill log when Config.Dir is set.
@@ -167,39 +163,19 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return s, nil
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("trace: spill dir: %w", err)
-	}
-	s.spillPath = filepath.Join(cfg.Dir, "traces.log")
-	f, err := os.OpenFile(s.spillPath, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("trace: spill open: %w", err)
-	}
-	good, err := jobs.ReplayFrames(f, func(payload []byte) bool {
-		var rec fragRec
-		if json.Unmarshal(payload, &rec) != nil || len(rec.Spans) == 0 {
+	spill, err := wal.Open(filepath.Join(cfg.Dir, "traces.log"), true, func(rec *fragRec) bool {
+		if len(rec.Spans) == 0 {
 			return false
 		}
-		s.insertLocked(&rec)
+		s.insertLocked(rec)
 		return true
 	})
 	if err != nil {
-		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("trace: spill: %w", err)
 	}
-	// Torn tail from a crash mid-append: truncate to whole records, exactly
-	// like the jobs WAL.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("trace: spill truncate: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("trace: spill seek: %w", err)
-	}
-	s.spill, s.spillBytes = f, good
 	// Replay does not re-count decisions, but the evicted counter from
 	// over-capacity replay is real pressure and stays.
+	s.spill = spill
 	return s, nil
 }
 
@@ -210,9 +186,6 @@ func (s *Store) Close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.spill == nil {
-		return nil
-	}
 	err := s.spill.Close()
 	s.spill = nil
 	return err
@@ -298,64 +271,19 @@ func (s *Store) insertLocked(rec *fragRec) {
 	}
 }
 
-// spillLocked appends one kept fragment to the spill log (best effort:
-// traces are diagnostics, not records, so spill errors drop the log rather
-// than the request) and compacts it down to the live window when it
-// outgrows the threshold.
+// spillLocked appends one kept fragment to the spill log and compacts it
+// down to the live window when it outgrows the threshold. Best effort:
+// traces are diagnostics, not records, so a failed append or compaction
+// drops the log rather than the request.
 func (s *Store) spillLocked(rec *fragRec) {
-	if s.spill == nil {
-		return
+	err := s.spill.Append(rec)
+	if err == nil && s.spill.Size() > spillCompactBytes {
+		err = s.spill.Compact(s.frags)
 	}
-	payload, err := json.Marshal(rec)
 	if err != nil {
-		return
-	}
-	frame := jobs.EncodeFrame(payload)
-	if _, err := s.spill.Write(frame); err != nil {
 		s.spill.Close()
 		s.spill = nil
-		return
 	}
-	s.spillBytes += int64(len(frame))
-	if s.spillBytes > spillCompactBytes {
-		s.compactLocked()
-	}
-}
-
-// compactLocked rewrites the spill log to exactly the live ring.
-func (s *Store) compactLocked() {
-	tmp := s.spillPath + ".compact"
-	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return
-	}
-	var size int64
-	for _, rec := range s.frags {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			continue
-		}
-		frame := jobs.EncodeFrame(payload)
-		if _, err := nf.Write(frame); err != nil {
-			nf.Close()
-			os.Remove(tmp)
-			return
-		}
-		size += int64(len(frame))
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, s.spillPath); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return
-	}
-	old := s.spill
-	s.spill, s.spillBytes = nf, size
-	old.Close()
 }
 
 // Get returns every stored span of one trace, across fragments, ordered by
@@ -452,13 +380,10 @@ func (s *Store) Stats() Stats {
 		Dropped:     s.dropped,
 		Evicted:     s.evicted,
 		Fragments:   int64(len(s.frags)),
-		SpillBytes:  s.spillBytes,
+		SpillBytes:  s.spill.Size(),
 	}
 	for _, rec := range s.frags {
 		st.Spans += int64(len(rec.Spans))
-	}
-	if s.spill == nil {
-		st.SpillBytes = 0
 	}
 	return st
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -263,4 +264,91 @@ func TestStoreConcurrentRecordAndRead(t *testing.T) {
 	if total != 1600 {
 		t.Fatalf("decisions = %d, want 1600", total)
 	}
+}
+
+// TestStoreSpillCompaction drives the spill log past spillCompactBytes: the
+// compaction rewrites it to the live window, so a reopen replays exactly
+// that window. A compaction that cannot run stops the spill instead of
+// rewriting the whole window again on every later fragment.
+func TestStoreSpillCompaction(t *testing.T) {
+	bulk := strings.Repeat("x", 32<<10)
+	fill := func(t *testing.T, s *Store) (written int64) {
+		t.Helper()
+		for written <= spillCompactBytes+(1<<20) {
+			spans := testFrag(NewTraceID(), 200, time.Millisecond)
+			spans[0].Set("bulk", bulk)
+			s.Record("optimize", spans)
+			written += int64(len(bulk))
+		}
+		return written
+	}
+	ids := func(s *Store) []string {
+		var out []string
+		for _, sum := range s.List(Query{Limit: 1000}) {
+			out = append(out, sum.TraceID)
+		}
+		return out
+	}
+	logSize := func(t *testing.T, path string) int64 {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+
+	t.Run("replays live window", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := Config{Capacity: 8, SampleN: 1, Dir: dir}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written := fill(t, s)
+		live, st := ids(s), s.Stats()
+		if st.SpillBytes == 0 || st.SpillBytes >= written/2 {
+			t.Fatalf("spill bytes %d after writing %d: no compaction", st.SpillBytes, written)
+		}
+		if size := logSize(t, filepath.Join(dir, "traces.log")); size != st.SpillBytes {
+			t.Fatalf("log size %d, spill bytes %d", size, st.SpillBytes)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if got := ids(r); fmt.Sprint(got) != fmt.Sprint(live) || len(got) != cfg.Capacity {
+			t.Fatalf("replayed window %v, live window %v", got, live)
+		}
+	})
+
+	t.Run("failed compaction stops the spill", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, "traces.log.compact"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Config{Capacity: 8, SampleN: 1, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		fill(t, s)
+		st := s.Stats()
+		if st.SpillBytes != 0 {
+			t.Fatalf("spill bytes %d after a failed compaction, want 0", st.SpillBytes)
+		}
+		if st.Fragments != 8 {
+			t.Fatalf("live window %d fragments, want 8", st.Fragments)
+		}
+		path := filepath.Join(dir, "traces.log")
+		before := logSize(t, path)
+		s.Record("optimize", testFrag(NewTraceID(), 500, time.Millisecond))
+		if after := logSize(t, path); after != before {
+			t.Fatalf("stopped spill still written: %d -> %d bytes", before, after)
+		}
+	})
 }
